@@ -5,14 +5,18 @@
 // uphold for *every* dag: topological execution order, no job started
 // before its parents completed, exactly-once completion credit, and
 // bit-identical reruns — including when whole scheduler instances run
-// concurrently inside ParallelFor at different worker counts.
+// concurrently inside ParallelFor at different worker counts. The golden
+// suite pins the exact dispatch order: ResultHash constants recorded per
+// job mix, with deadlines, and under a stochastic fault plan.
 #include "labmon/harvest/dag.hpp"
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "labmon/faultsim/fault_plan.hpp"
 #include "labmon/harvest/dag_scheduler.hpp"
 #include "labmon/util/parallel.hpp"
 #include "labmon/winsim/paper_specs.hpp"
@@ -302,6 +306,87 @@ TEST(DagSchedulerPropertyTest, IndependentOfParallelForWorkerCount) {
     EXPECT_EQ(serial[i], serial[0]);
   }
   EXPECT_EQ(serial, wide);
+}
+
+// ------------------------------------------------------------ golden order
+
+// ResultHash fingerprints every per-job record (state, completion time,
+// attempts, evictions), so these constants pin the exact dispatch order
+// of the ready queue — priority, then deadline, then id — and the
+// requeue/backoff path. Each run oversubscribes the fleet and ends with
+// jobs still in flight, so the surviving-progress accounting is pinned too.
+// A change to any constant is a change of scheduler behaviour, not noise.
+JobMixOptions GoldenMix(JobMixKind kind) {
+  JobMixOptions o;
+  o.kind = kind;
+  o.jobs = 1500;
+  o.mean_index_hours = 48.0;
+  o.seed = 20050201;
+  return o;
+}
+
+std::uint64_t GoldenHash(const JobDag& dag, const faultsim::FaultPlan* plan) {
+  DagFixture f(2, 41);
+  DagScheduler scheduler(*f.fleet, *f.driver, DagPolicy{});
+  if (plan != nullptr) scheduler.SetFaultPlan(*plan);
+  const DagResult result = scheduler.Run(dag, 0, f.campus.EndTime());
+  EXPECT_FALSE(result.dag_finished);
+  EXPECT_GT(result.retries, 0u);
+  return result.ResultHash();
+}
+
+TEST(DagSchedulerGoldenTest, EveryJobMixDispatchesInThePinnedOrder) {
+  const struct {
+    JobMixKind kind;
+    std::uint64_t hash;
+  } kGolden[] = {
+      {JobMixKind::kBagOfTasks, 0xc13ce8310849e36aULL},
+      {JobMixKind::kChain, 0xe26ef011109f1073ULL},
+      {JobMixKind::kFanInFanOut, 0x135ca6a5110931a1ULL},
+      {JobMixKind::kRandomLayered, 0x564e1d79a36781c5ULL},
+      {JobMixKind::kMixed, 0xeb77a550bea57b22ULL},
+  };
+  for (const auto& golden : kGolden) {
+    SCOPED_TRACE(JobMixName(golden.kind));
+    EXPECT_EQ(GoldenHash(MakeJobMix(GoldenMix(golden.kind)), nullptr),
+              golden.hash);
+  }
+}
+
+TEST(DagSchedulerGoldenTest, DeadlinesDispatchInThePinnedOrder) {
+  // Three deadline classes (tight, loose, none) interleaved by id, so the
+  // earliest-deadline tie-break decides between equal priorities.
+  JobMixOptions o = GoldenMix(JobMixKind::kBagOfTasks);
+  o.deadline = 36 * 3600;
+  JobDag dag = MakeJobMix(o);
+  for (std::size_t i = 0; i < dag.jobs.size(); ++i) {
+    if (i % 3 == 1) dag.jobs[i].deadline = 12 * 3600;
+    if (i % 3 == 2) dag.jobs[i].deadline = 0;
+  }
+  EXPECT_EQ(GoldenHash(dag, nullptr), 0xca0f1d856749eeffULL);
+}
+
+TEST(DagSchedulerGoldenTest, ChaosRequeuesInThePinnedOrder) {
+  // Stochastic failures, hangs and stragglers plus one scripted crash:
+  // failed and evicted attempts requeue under backoff, so the cooling
+  // queue's promotion order is pinned too. The seed is fixed, unlike the
+  // chaos suite's swept one.
+  faultsim::FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 0x901d;
+  plan.stochastic.transient_error_prob = 0.2;
+  plan.stochastic.hang_prob = 0.05;
+  plan.stochastic.straggler_prob = 0.1;
+  plan.stochastic.straggler_multiplier_lo = 2.0;
+  plan.stochastic.straggler_multiplier_hi = 8.0;
+  faultsim::ScriptedCrash crash;
+  crash.machine = 11;
+  crash.at = 40000;
+  crash.down_seconds = 7200;
+  plan.crashes.push_back(crash);
+  ASSERT_TRUE(plan.Active());
+  EXPECT_EQ(GoldenHash(MakeJobMix(GoldenMix(JobMixKind::kMixed)), &plan),
+            0x9c966e5da197a219ULL);
 }
 
 TEST(DagSchedulerTest, EmptyDagFinishesImmediately) {
