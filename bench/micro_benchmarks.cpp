@@ -18,6 +18,8 @@
 #include "labmon/core/experiment.hpp"
 #include "labmon/ddc/w32_probe.hpp"
 #include "labmon/ddc/w32_probe_legacy.hpp"
+#include "labmon/harvest/dag.hpp"
+#include "labmon/harvest/dag_scheduler.hpp"
 #include "labmon/nbench/nbench.hpp"
 #include "labmon/smart/attributes.hpp"
 #include "labmon/stats/running_stats.hpp"
@@ -229,6 +231,40 @@ void BM_WorkloadEventDispatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(dispatched));
 }
 BENCHMARK(BM_WorkloadEventDispatch)->Unit(benchmark::kMillisecond);
+
+void BM_DagSchedulerBag(benchmark::State& state) {
+  // DagScheduler::Run of a bag of range(0) jobs on the paper campus for 2
+  // days; the ready queue starts range(0) deep. items/s = dispatches/s.
+  // A dispatch or requeue is an O(log jobs) heap operation, so the time
+  // should grow with range(0) only through Run's O(jobs) set-up and the
+  // dedicated-cluster baseline.
+  harvest::JobMixOptions mix;
+  mix.kind = harvest::JobMixKind::kBagOfTasks;
+  mix.jobs = static_cast<std::size_t>(state.range(0));
+  const harvest::JobDag dag = harvest::MakeJobMix(mix);
+  std::uint64_t dispatches = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    workload::CampusConfig campus;
+    campus.days = 2;
+    util::Rng rng(campus.seed);
+    winsim::Fleet fleet = winsim::MakePaperFleet(rng);
+    workload::WorkloadDriver driver(fleet, campus);
+    harvest::DagScheduler scheduler(fleet, driver, harvest::DagPolicy{});
+    state.ResumeTiming();
+    const harvest::DagResult result = scheduler.Run(dag, 0, campus.EndTime());
+    for (const harvest::DagJobRun& job : result.jobs) {
+      dispatches += job.attempts;
+    }
+    benchmark::DoNotOptimize(result.useful_index_seconds);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(dispatches));
+}
+BENCHMARK(BM_DagSchedulerBag)
+    ->Arg(2000)
+    ->Arg(20000)
+    ->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullExperimentDay(benchmark::State& state) {
   // Simulation + collection + post-collect parse, per simulated day.

@@ -27,11 +27,12 @@
 // requeues (with backoff) without spending the budget. A job whose budget
 // is exhausted goes to kFailed and its descendants stay kPending forever.
 //
-// Determinism: the scheduler is single-threaded, every container is
-// index-ordered, and all chaos draws come from one private stream (plan
-// seed, substream kHarvest) gated on FaultPlan::Active() — an inactive plan
-// makes zero draws, so a zero-fault run is bit-identical to a run with no
-// plan at all. DagResult::ResultHash() fingerprints a run for such checks.
+// Determinism: the scheduler is single-threaded, every queue is a strict
+// total order with the job id as the last tie-break, and all chaos draws
+// come from one private stream (plan seed, substream kHarvest) gated on
+// FaultPlan::Active() — an inactive plan makes zero draws, so a zero-fault
+// run is bit-identical to a run with no plan at all. DagResult::ResultHash()
+// fingerprints a run for such checks.
 #pragma once
 
 #include <cstdint>
@@ -177,7 +178,6 @@ class DagScheduler final : public workload::MachineObserver {
   struct JobState {
     double checkpoint = 0.0;  ///< secured progress, index-seconds
     std::uint32_t waiting_on = 0;  ///< unfinished parents
-    util::SimTime eligible_at = 0; ///< backoff gate for requeues
     std::uint32_t retries = 0;     ///< requeues so far (backoff exponent)
   };
 

@@ -166,8 +166,6 @@ double DedicatedMakespanSeconds(const JobDag& dag, std::size_t machines,
   if (dag.jobs.empty() || machines == 0 || machine_index <= 0.0) return 0.0;
   const std::size_t n = dag.jobs.size();
 
-  // Earliest ready time of each job = max finish time over its parents.
-  std::vector<double> ready(n, 0.0);
   std::vector<double> finish(n, 0.0);
 
   // Machines as a min-heap of (next-free time, machine id); ties broken by
@@ -176,10 +174,7 @@ double DedicatedMakespanSeconds(const JobDag& dag, std::size_t machines,
   std::priority_queue<Slot, std::vector<Slot>, std::greater<>> free_at;
   for (std::size_t m = 0; m < machines; ++m) free_at.emplace(0.0, m);
 
-  // Pending jobs ordered by (ready time, -priority, deadline, id): a job is
-  // dispatched to the earliest-free machine once its parents are done. Job
-  // ids are topological, so scanning in id order and delaying each job to
-  // its ready time is a valid list schedule.
+  // Pending jobs ordered by (-priority, id).
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -190,13 +185,13 @@ double DedicatedMakespanSeconds(const JobDag& dag, std::size_t machines,
   });
 
   double makespan = 0.0;
-  // Process in topological (id) order to compute ready times, but assign
-  // machines in priority order within the constraint. A simple and
-  // deterministic approximation: walk jobs in `order`, but a job cannot
-  // start before its parents finish — which are guaranteed scheduled
-  // because priority inversion across an edge just delays the child.
+  // Walk the pending jobs in passes. A job whose parents are all scheduled
+  // goes to the earliest-free machine, starting no earlier than its ready
+  // time (the latest finish among its parents); any other job is deferred
+  // to the next pass, so a priority inversion across an edge only delays
+  // the child. Job ids are topological, so every pass makes progress.
   std::vector<bool> done(n, false);
-  std::vector<std::size_t> remaining = order;
+  std::vector<std::size_t> remaining = std::move(order);
   while (!remaining.empty()) {
     std::vector<std::size_t> deferred;
     bool progressed = false;
@@ -214,7 +209,6 @@ double DedicatedMakespanSeconds(const JobDag& dag, std::size_t machines,
         deferred.push_back(id);
         continue;
       }
-      ready[id] = r;
       auto [free_t, m] = free_at.top();
       free_at.pop();
       const double start = std::max(free_t, r);

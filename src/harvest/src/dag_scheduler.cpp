@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <queue>
+#include <utility>
 
 #include "labmon/obs/harvest_metrics.hpp"
 
@@ -151,15 +154,21 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
     }
   }
 
-  // Ready queue (sorted by ReadyBefore; dispatch pops the front) plus a
-  // cooling list of requeued jobs still inside their backoff window
-  // (kept in id order; promoted to ready when eligible_at passes).
-  const ReadyBefore before{&dag};
-  std::vector<std::size_t> ready;
-  std::vector<std::size_t> cooling;
+  // Ready heap whose top is the job ReadyBefore places first (the order
+  // is strict and total, so the pop sequence does not depend on the push
+  // sequence), plus a min-heap of requeued jobs cooling down, keyed by
+  // (eligible_at, id) and promoted to ready once eligible_at passes.
+  const auto dispatches_later = [before = ReadyBefore{&dag}](std::size_t a,
+                                                             std::size_t b) {
+    return before(b, a);
+  };
+  std::priority_queue<std::size_t, std::vector<std::size_t>,
+                      decltype(dispatches_later)>
+      ready(dispatches_later);
+  using Cooling = std::pair<util::SimTime, std::size_t>;
+  std::priority_queue<Cooling, std::vector<Cooling>, std::greater<>> cooling;
   const auto enqueue_ready = [&](std::size_t job) {
-    ready.insert(std::upper_bound(ready.begin(), ready.end(), job, before),
-                 job);
+    ready.push(job);
     result.jobs[job].state = DagJobState::kReady;
   };
   for (std::size_t i = 0; i < n; ++i) {
@@ -196,8 +205,7 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
                                     js.retries, 20))),
                  policy_.retry_backoff_max_s);
     ++js.retries;
-    js.eligible_at = t + static_cast<util::SimTime>(backoff);
-    cooling.insert(std::upper_bound(cooling.begin(), cooling.end(), job), job);
+    cooling.emplace(t + static_cast<util::SimTime>(backoff), job);
     result.jobs[job].state = DagJobState::kReady;
     ++result.retries;
     if (instruments.enabled()) instruments.retries->Increment();
@@ -234,17 +242,9 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
     driver_.AdvanceTo(t);
 
     // Promote cooled-down jobs back into the ready order.
-    if (!cooling.empty()) {
-      std::vector<std::size_t> still_cooling;
-      for (std::size_t job : cooling) {
-        if (jobs[job].eligible_at <= t) {
-          ready.insert(
-              std::upper_bound(ready.begin(), ready.end(), job, before), job);
-        } else {
-          still_cooling.push_back(job);
-        }
-      }
-      cooling = std::move(still_cooling);
+    while (!cooling.empty() && cooling.top().first <= t) {
+      ready.push(cooling.top().second);
+      cooling.pop();
     }
     if (instruments.enabled()) {
       instruments.queue_depth->Observe(static_cast<double>(ready.size()));
@@ -366,8 +366,8 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
         if (guard_reset) slot.free_since = t;
         if (t - slot.free_since >= policy_.grid.claim_delay_s &&
             !ready.empty()) {
-          const std::size_t job = ready.front();
-          ready.erase(ready.begin());
+          const std::size_t job = ready.top();
+          ready.pop();
           slot.has_task = true;
           slot.job = job;
           slot.progress = jobs[job].checkpoint;
@@ -387,7 +387,16 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
   driver_.SetObserver(nullptr);
 
   // Surviving progress of live jobs still counts as useful (resumable);
-  // the checkpointed progress of terminally failed jobs does not.
+  // the checkpointed progress of terminally failed jobs does not. A job
+  // runs on at most one slot, so folding each live attempt into its job's
+  // checkpoint leaves every job's best progress there; the sums then run
+  // in job-id order.
+  for (const Slot& slot : slots_) {
+    if (slot.has_task) {
+      double& best = jobs[slot.job].checkpoint;
+      best = std::max(best, slot.progress);
+    }
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const DagJobState state = result.jobs[i].state;
     if (state == DagJobState::kCompleted) continue;
@@ -395,11 +404,7 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
       result.wasted_index_seconds += jobs[i].checkpoint;
       continue;
     }
-    double best = jobs[i].checkpoint;
-    for (const Slot& slot : slots_) {
-      if (slot.has_task && slot.job == i) best = std::max(best, slot.progress);
-    }
-    result.useful_index_seconds += best;
+    result.useful_index_seconds += jobs[i].checkpoint;
   }
   slots_.clear();
 
