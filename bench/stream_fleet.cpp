@@ -1,6 +1,6 @@
 // stream_fleet — streamed-vs-materialised campaign bench.
 //
-// Measures the streaming trace pipeline (core::StreamingExperiment with
+// Measures the streamed campaign engine (core::PipelinedExperiment with
 // spill-to-disk segments) against the materialised engine
 // (core::Experiment) on the same campus and seed:
 //
@@ -20,9 +20,10 @@
 // Modes:
 //   materialized    Experiment::Run at LABMON_STREAM_DAYS (default 14),
 //                   sample-stream hash computed over the materialised store.
-//   streamed        StreamingExperiment::Run at the same horizon, spilling
+//   streamed        PipelinedExperiment::Run at the same horizon, spilling
 //                   per-lab segments (default codec, LMSG2) to a scratch
-//                   directory.
+//                   directory. A fresh run merges from memory, so its
+//                   decode fields read zero.
 //   streamed_lmsg1  the streamed run spilling uncompressed LMSG1 segments
 //                   — same horizon, so its segment bytes against
 //                   `streamed` measure the LMSG2 compression ratio and its
@@ -125,7 +126,7 @@ int Measure(const std::string& mode, const std::string& out_path) {
       options.spill_codec = trace::SpillCodecId::kLmsg1;
     }
     const auto result =
-        core::StreamingExperiment::Run(StreamConfig(days), options);
+        core::PipelinedExperiment::Run(StreamConfig(days), options);
     if (!result.errors.empty()) {
       for (const auto& error : result.errors) {
         std::cerr << "stream error: " << error << "\n";

@@ -5,7 +5,7 @@
 //                    [--workers N] [--snapshot-dir DIR]
 //                    [--shards N] [--scale-labs K]
 //                    [--fault-plan plan.ini] [--retry N]
-//                    [--stream] [--pipeline] [--spill-dir DIR] [--resume]
+//                    [--stream] [--spill-dir DIR] [--resume]
 //                    [--spill-codec lmsg1|lmsg2]
 //                    [--block-samples N] [--ring-capacity N]
 //                    [--anomaly-threshold Z]
@@ -22,28 +22,29 @@
 // soft deadline that many hours after submission (misses are counted,
 // not enforced). --fault-plan applies chaos to the harvest too.
 //
-// --stream runs the campaign through the streaming engine: collection
-// seals fixed-size trace blocks (--block-samples, default 65536) instead
-// of materialising the trace, the merge re-streams them and the analyses
-// fold incrementally — peak memory is O(block), independent of --days,
-// and the analysis output is bit-identical to the materialised engine.
-// --spill-dir DIR spills sealed blocks to per-lab checkpointed segments
-// in DIR; --resume reuses valid checkpoints found there (a campaign
-// killed mid-run restarts where it left off). --spill-codec picks the
-// segment format for newly written spills (default lmsg2, the per-column
-// compressed one; lmsg1 is the uncompressed original) — read-back always
-// dispatches on each segment's own magic, so resume may mix codecs and
-// the analyses are bit-identical either way. --pipeline runs the
-// streaming campaign through the pipelined engine instead: shard workers
-// overlap simulation with the merge and the analysis fold via a bounded
-// staging ring (--ring-capacity, default 64 blocks), same bit-identical
-// output; the run summary adds ring/merge-lag/arena-reuse stats and
-// --prof-out wraps the profile as {"prof": ..., "pipeline": ...}.
-// --anomaly-threshold Z
-// enables online per-machine z-score anomaly detection (|z| >= Z on
-// memory load and CPU idle) and writes anomalies.jsonl into output_dir.
-// Streaming mode skips the CSV/trace exports (there is no materialised
-// trace to export).
+// --stream runs the campaign through the pipelined streaming engine:
+// collection seals fixed-size trace blocks (--block-samples, default
+// 65536) instead of materialising the trace, and shard workers overlap
+// simulation with the merge and the incremental analysis fold via a
+// bounded staging ring (--ring-capacity, default 64 blocks) — peak memory
+// is O(block), independent of --days, and the analysis output is
+// bit-identical to the materialised engine. The run summary adds
+// ring/merge-lag/arena-reuse stats and --prof-out wraps the profile as
+// {"prof": ..., "pipeline": ...}. --spill-dir DIR also spills sealed
+// blocks to per-lab checkpointed segments in DIR; --resume reuses valid
+// checkpoints found there (a campaign killed mid-run restarts where it
+// left off). --spill-codec picks the segment format for newly written
+// spills (default lmsg2, the per-column compressed one; lmsg1 is the
+// uncompressed original) — read-back always dispatches on each segment's
+// own magic, so resume may mix codecs and the analyses are bit-identical
+// either way. --anomaly-threshold Z enables online per-machine z-score
+// anomaly detection (|z| >= Z on memory load and CPU idle) and writes
+// anomalies.jsonl into output_dir. Streaming mode skips the CSV/trace
+// exports (there is no materialised trace to export).
+//
+// Numeric arguments are parsed strictly: a malformed or out-of-range
+// days, seed, --block-samples, --ring-capacity or --anomaly-threshold
+// value exits 1 with a message naming it.
 //
 // --shards N runs the simulation over N real threads (0 = one per core,
 // default). Output-invariant: any shard count yields the bit-identical
@@ -80,6 +81,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -193,6 +195,32 @@ std::string PipelineStatsJson(const core::PipelineStats& s) {
   return json.str();
 }
 
+/// Strict integer argument in [lo, hi]; exits 1 naming `what` otherwise
+/// (atoll would silently turn "abc" into 0).
+std::int64_t IntArg(const char* what, const std::string& text,
+                    std::int64_t lo, std::int64_t hi) {
+  const auto parsed = util::ParseInt64(text);
+  if (!parsed || *parsed < lo || *parsed > hi) {
+    std::cerr << what << " wants an integer in [" << lo << ", " << hi
+              << "], got \"" << text << "\"\n";
+    std::exit(1);
+  }
+  return *parsed;
+}
+
+/// Strict floating-point argument in [lo, hi] (NaN rejected); exits 1
+/// naming `what` otherwise.
+double DoubleArg(const char* what, const std::string& text, double lo,
+                 double hi) {
+  const auto parsed = util::ParseDouble(text);
+  if (!parsed || !(*parsed >= lo && *parsed <= hi)) {
+    std::cerr << what << " wants a number in [" << lo << ", " << hi
+              << "], got \"" << text << "\"\n";
+    std::exit(1);
+  }
+  return *parsed;
+}
+
 bool WriteFileOrComplain(const std::string& path,
                          const std::function<void(std::ostream&)>& fill) {
   std::ofstream out(path, std::ios::binary);
@@ -219,7 +247,6 @@ int main(int argc, char** argv) {
   int shards = 0;
   int scale_labs = 0;  // 0 = not passed; keep the scenario/default value
   bool stream = false;
-  bool use_pipeline = false;
   bool resume = false;
   std::string spill_dir;
   trace::SpillCodecId spill_codec = trace::kDefaultSpillCodec;
@@ -266,9 +293,6 @@ int main(int argc, char** argv) {
       scale_labs = std::clamp(std::atoi(v), 1, 1024);
     } else if (arg == "--stream") {
       stream = true;
-    } else if (arg == "--pipeline") {
-      use_pipeline = true;
-      stream = true;  // the pipelined engine is a streaming engine
     } else if (arg == "--resume") {
       resume = true;
     } else if (const char* v = flag_value("--spill-dir")) {
@@ -282,11 +306,13 @@ int main(int argc, char** argv) {
       }
       spill_codec = *parsed;
     } else if (const char* v = flag_value("--block-samples")) {
-      block_samples = static_cast<std::size_t>(std::atoll(v));
+      block_samples = static_cast<std::size_t>(
+          IntArg("--block-samples", v, 1, std::int64_t{1} << 24));
     } else if (const char* v = flag_value("--ring-capacity")) {
-      ring_capacity = static_cast<std::size_t>(std::atoll(v));
+      ring_capacity = static_cast<std::size_t>(
+          IntArg("--ring-capacity", v, 1, std::int64_t{1} << 20));
     } else if (const char* v = flag_value("--anomaly-threshold")) {
-      anomaly_threshold = std::atof(v);
+      anomaly_threshold = DoubleArg("--anomaly-threshold", v, 0.0, 1e6);
     } else if (const char* v = flag_value("--harvest-dag")) {
       harvest_jobs = static_cast<std::size_t>(std::atoll(v));
       if (harvest_jobs == 0) {
@@ -311,6 +337,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  core::ExperimentConfig config;
+  if (positional.size() > 1) {
+    config.campus.days =
+        static_cast<int>(IntArg("days", positional[1], 1, 5000));
+  }
+  if (positional.size() > 2) {
+    config.campus.seed = static_cast<std::uint64_t>(IntArg(
+        "seed", positional[2], 0, std::numeric_limits<std::int64_t>::max()));
+  }
+
   const std::string out_dir = !positional.empty() ? positional[0] : "report_out";
   // Create the output directory up front: exporter files (--events-out
   // etc.) commonly point inside it and are opened before the CSV writer
@@ -322,12 +358,6 @@ int main(int argc, char** argv) {
       std::cerr << "cannot create directory: " << out_dir << '\n';
       return 1;
     }
-  }
-  core::ExperimentConfig config;
-  if (positional.size() > 1) config.campus.days = std::atoi(positional[1].c_str());
-  if (positional.size() > 2) {
-    config.campus.seed =
-        static_cast<std::uint64_t>(std::atoll(positional[2].c_str()));
   }
   if (positional.size() > 3) {
     auto loaded = workload::LoadCampusConfig(positional[3], config.campus);
@@ -463,9 +493,7 @@ int main(int argc, char** argv) {
       streaming.anomaly_writer = anomaly_writer.get();
     }
 
-    const auto streamed = use_pipeline
-                              ? core::PipelinedExperiment::Run(config, streaming)
-                              : core::StreamingExperiment::Run(config, streaming);
+    const auto streamed = core::PipelinedExperiment::Run(config, streaming);
     if (!streamed.errors.empty()) {
       for (const auto& error : streamed.errors) {
         std::cerr << "streaming error: " << error << '\n';
@@ -493,20 +521,18 @@ int main(int argc, char** argv) {
     std::cout << analysis::RenderCapacity(a.capacity, {}) << '\n';
 
     std::cout << "--- streaming run summary ---\n";
-    if (use_pipeline) {
-      const auto& p = streamed.pipeline;
-      std::cout << "pipelined engine: " << p.staged_blocks
-                << " blocks staged through a ring of " << p.ring_capacity
-                << " (peak occupancy " << p.ring_peak_occupancy << ", "
-                << p.ring_push_stalls << " push / " << p.ring_pop_stalls
-                << " pop stalls), merge lag peak " << p.merge_lag_peak_blocks
-                << " blocks, arena reuse "
-                << util::FormatFixed(100.0 * p.arena_reuse_ratio, 1)
-                << "%, serial fraction "
-                << util::FormatFixed(p.serial_fraction, 3) << " ("
-                << util::FormatFixed(p.pipeline_wall_s, 3) << " s of "
-                << util::FormatFixed(p.wall_s, 3) << " s overlapped)\n";
-    }
+    const auto& p = streamed.pipeline;
+    std::cout << "pipelined engine: " << p.staged_blocks
+              << " blocks staged through a ring of " << p.ring_capacity
+              << " (peak occupancy " << p.ring_peak_occupancy << ", "
+              << p.ring_push_stalls << " push / " << p.ring_pop_stalls
+              << " pop stalls), merge lag peak " << p.merge_lag_peak_blocks
+              << " blocks, arena reuse "
+              << util::FormatFixed(100.0 * p.arena_reuse_ratio, 1)
+              << "%, serial fraction "
+              << util::FormatFixed(p.serial_fraction, 3) << " ("
+              << util::FormatFixed(p.pipeline_wall_s, 3) << " s of "
+              << util::FormatFixed(p.wall_s, 3) << " s overlapped)\n";
     std::cout << "iterations: " << streamed.run_stats.iterations
               << ", attempts: " << streamed.run_stats.attempts
               << ", samples: " << streamed.samples << " streamed through "
@@ -559,13 +585,8 @@ int main(int argc, char** argv) {
       const obs::prof::Report prof_report = obs::prof::Drain();
       obs::prof::Disable();
       if (!WriteFileOrComplain(prof_out, [&](std::ostream& out) {
-            if (use_pipeline) {
-              out << "{\"prof\": " << obs::prof::ReportJson(prof_report)
-                  << ",\n \"pipeline\": "
-                  << PipelineStatsJson(streamed.pipeline) << "}\n";
-            } else {
-              out << obs::prof::ReportJson(prof_report) << '\n';
-            }
+            out << "{\"prof\": " << obs::prof::ReportJson(prof_report)
+                << ",\n \"pipeline\": " << PipelineStatsJson(p) << "}\n";
           })) {
         return 1;
       }

@@ -8,7 +8,8 @@
 // replays the pipeline's exact two-level reduction — per-chunk states,
 // machines folded in ascending order, chunk states merged in ascending
 // order — so every double matches the materialised AnalysisPipeline
-// bit-for-bit (pinned by tests/core/test_streaming_determinism).
+// bit-for-bit (pinned by tests/analysis/test_stream_fold and
+// tests/core/test_pipelined_determinism).
 //
 // Per-iteration quantities need care: floating-point accumulation order
 // must match the materialised chunk grid even though the stream arrives

@@ -1,23 +1,24 @@
-// Streaming campaign engine — the full experiment in O(block) memory.
+// Streamed campaign engine — the full experiment without a materialised
+// trace.
 //
-// StreamingExperiment::Run drives the same per-lab simulation as
+// PipelinedExperiment::Run drives the same per-lab simulation as
 // Experiment::Run, but collection seals fixed-size, iteration-aligned
-// trace blocks as they fill instead of materialising each lab's trace:
-// blocks either stay in memory as a sealed block list or spill to disk as
-// LMSG1 segments (trace/segment.hpp). The merge phase then re-streams
-// every lab through trace::StreamMergeBlocks and folds the merged blocks
-// straight into analysis::StreamingAnalysis, so the campaign's peak
-// memory is bounded by block size + per-machine analysis state — it does
-// not grow with the simulated horizon. The analysis output is
-// bit-identical to Experiment::Run + the materialised pipeline (pinned by
-// tests/core/test_streaming_determinism).
+// trace blocks instead of materialising each lab's trace. Sealed blocks
+// flow through a bounded staging ring into an iteration-front merge and
+// straight on into analysis::StreamingAnalysis, so the campaign's peak
+// memory is bounded by block size, ring capacity and per-machine analysis
+// state — it does not grow with the simulated horizon. With `spill_dir`
+// set, every sealed block is also appended to a per-lab LMSG1/LMSG2
+// segment (trace/segment.hpp). The analysis output is bit-identical to
+// Experiment::Run + the materialised pipeline (pinned by
+// tests/core/test_pipelined_determinism).
 //
 // With spilling enabled every finished lab is also a checkpoint: its
 // segment plus a small sidecar (config fingerprint, per-lab run stats and
 // ground truth) written atomically after the segment is complete. A
 // killed campaign restarted with `resume = true` re-simulates only the
-// labs whose checkpoint is missing or invalid and re-streams the rest
-// from disk, reproducing the exact same result.
+// labs whose checkpoint is missing or invalid and replays the rest from
+// disk, reproducing the exact same result.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +37,8 @@ struct StreamingOptions {
   /// Sealed-block capacity for collection spill and the merged stream.
   std::size_t block_samples = trace::kDefaultBlockSamples;
   /// Spill directory for per-lab segments + checkpoint sidecars; empty
-  /// keeps sealed blocks in memory (still O(block) during the merge, but
-  /// collection holds every sealed block).
+  /// keeps sealed blocks in memory only (they still pass through the
+  /// bounded ring, so memory stays O(block) either way).
   std::string spill_dir;
   /// Reuse valid per-lab checkpoints found in `spill_dir` instead of
   /// re-simulating those labs (requires spilling).
@@ -55,9 +56,6 @@ struct StreamingOptions {
   std::uint64_t anomaly_min_samples = 32;
   /// Optional JSONL sink for anomaly records (not owned).
   obs::JsonlWriter* anomaly_writer = nullptr;
-
-  // --- PipelinedExperiment only (ignored by StreamingExperiment) ---
-
   /// Capacity of the bounded staging ring between the shard collectors and
   /// the merge stage (blocks). Small rings bound memory and apply
   /// backpressure to fast shards; output is identical at any capacity.
@@ -71,9 +69,8 @@ struct StreamingOptions {
   std::size_t merge_sort_workers = 0;
 };
 
-/// Pipeline health counters from a PipelinedExperiment run (all zero for
-/// StreamingExperiment). Mirrored into obs::DefaultRegistry gauges under
-/// labmon_pipeline_*.
+/// Pipeline health counters of one PipelinedExperiment run. Mirrored into
+/// obs::DefaultRegistry gauges under labmon_pipeline_*.
 struct PipelineStats {
   std::uint64_t staged_blocks = 0;      ///< blocks pushed through the ring
   std::uint64_t ring_push_stalls = 0;   ///< producer waits (ring full)
@@ -96,9 +93,9 @@ struct PipelineStats {
 
 /// Spill codec accounting for one run: the encode side sums every segment
 /// writer (shard workers compress before bytes hit disk), the decode side
-/// sums every segment read-back (the merge re-stream and resume replay).
-/// All zeros when spilling is disabled. Mirrored into obs gauges under
-/// labmon_spill_*.
+/// sums the segments replayed for resumed labs — a fresh run merges its
+/// blocks from memory and decodes nothing. All zeros when spilling is
+/// disabled. Mirrored into obs gauges under labmon_spill_*.
 struct SpillCompressionStats {
   std::string codec;  ///< codec newly written segments used ("" = no spill)
   std::uint64_t segments = 0;       ///< segment files written this run
@@ -156,19 +153,10 @@ struct StreamingExperimentResult {
   std::size_t labs_resumed = 0;
   /// Per-lab spill/merge IO failures (empty on a clean run).
   std::vector<std::string> errors;
-  /// Pipeline health (PipelinedExperiment only; zeros otherwise).
+  /// Staging-ring, merge-lag and arena health of the run.
   PipelineStats pipeline;
   /// Spill codec accounting (zeros when spilling is disabled).
   SpillCompressionStats spill;
-};
-
-class StreamingExperiment {
- public:
-  /// Runs collection + merge + incremental analysis end to end
-  /// (deterministic for a given config; independent of shard count,
-  /// block size and spill mode).
-  [[nodiscard]] static StreamingExperimentResult Run(
-      const ExperimentConfig& config, const StreamingOptions& options = {});
 };
 
 /// Pipelined campaign engine: the three streaming stages — per-shard
@@ -187,10 +175,10 @@ class StreamingExperiment {
 /// collectors; the fold returns merged blocks to the emitter), so the
 /// steady state allocates nothing on the merge path.
 ///
-/// The result is bit-identical to StreamingExperiment::Run (stream hash,
-/// run stats, all analyses) at any shard count, window length, block size
-/// or ring capacity, and checkpoints interoperate with streaming spill
-/// dirs in both directions (pinned by tests/core/
+/// The result (deterministic for a given config) is bit-identical to
+/// Experiment::Run (stream hash, run stats, all analyses) at any shard
+/// count, window length, block size, ring capacity and spill mode, and
+/// across checkpoint resume (pinned by tests/core/
 /// test_pipelined_determinism).
 class PipelinedExperiment {
  public:

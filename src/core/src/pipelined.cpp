@@ -81,11 +81,10 @@ struct StagedBlock {
 /// empty (counted as an allocation) — the caller falls back to new.
 using BlockPool = util::RecyclingPool<std::unique_ptr<trace::TraceBlock>>;
 
-/// The pipelined counterpart of streaming.cpp's SpillingSink: samples
-/// append to the lab's working store; sealing copies the store into a
-/// pooled heap block pushed onto the collect ring (and, when spilling,
-/// also appends it to the lab's segment so the checkpoint protocol is
-/// unchanged). Seals happen at the block budget *and* at every window
+/// Collection sink of one lab: samples append to the lab's working store;
+/// sealing copies the store into a pooled heap block pushed onto the
+/// collect ring (and, when spilling, also appends it to the lab's segment,
+/// which the checkpoint sidecar later commits). Seals happen at the block budget *and* at every window
 /// boundary, so blocks stay iteration-aligned and fronts keep advancing
 /// even in iteration-sparse windows.
 class PipelineSink final : public ddc::SampleSink {

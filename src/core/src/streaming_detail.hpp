@@ -1,7 +1,7 @@
-// Internal helpers shared by the streaming and pipelined campaign engines
-// (core/src only — not part of the installed API): the per-lab checkpoint
-// payload, its sidecar codec, spill-path naming, and the result-assembly
-// steps both engines perform identically.
+// Internal helpers of the streamed campaign engine (core/src only — not
+// part of the installed API): the per-lab checkpoint payload, its sidecar
+// codec, spill-path naming, and the result-assembly steps that mirror
+// Experiment::Run's per-shard sums.
 #pragma once
 
 #include <cstdio>

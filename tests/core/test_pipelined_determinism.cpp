@@ -1,14 +1,17 @@
-// Pipelined-engine determinism suite — the overlapped engine's contract:
-// windowed lockstep collection, the staging-ring merge and the threaded
-// analysis fold must reproduce the materialised engine bit-for-bit for
-// any shard count, window length, block size and ring capacity (including
-// the degenerate capacity-1 ring, which forces constant backpressure),
-// checkpoints must interoperate with StreamingExperiment spill dirs in
-// both directions, and a failing lab must abort the pipeline promptly
-// instead of deadlocking a parked stage.
+// Streamed-engine determinism suite — PipelinedExperiment's contract:
+// windowed lockstep collection through sealed blocks (in memory or
+// spilled to disk), the staging-ring merge and the threaded analysis fold
+// must reproduce the materialised engine bit-for-bit for any shard count,
+// window length, block size and ring capacity (including the degenerate
+// capacity-1 ring, which forces constant backpressure), clean or faulted;
+// a campaign killed mid-run must resume from its per-lab checkpoints to
+// the exact same result, under either spill codec; and a failing lab must
+// abort the pipeline promptly instead of deadlocking a parked stage.
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "labmon/core/experiment.hpp"
 #include "labmon/core/streaming.hpp"
 #include "labmon/trace/block.hpp"
+#include "labmon/trace/segment.hpp"
 
 namespace labmon {
 namespace {
@@ -38,42 +42,59 @@ const core::ExperimentResult& Materialised() {
   return result;
 }
 
-std::uint64_t MaterialisedHash() {
-  trace::StoreReader reader(Materialised().trace);
+std::uint64_t HashOf(const core::ExperimentResult& result) {
+  trace::StoreReader reader(result.trace);
   return trace::HashSampleStream(reader);
 }
 
-/// The fold over the materialised trace — pinned bit-identical to the
-/// chunked AnalysisPipeline by test_stream_fold.
+std::uint64_t MaterialisedHash() { return HashOf(Materialised()); }
+
+/// The fold over a materialised trace — pinned bit-identical to the
+/// chunked AnalysisPipeline by test_stream_fold, so it serves as the
+/// analysis reference here.
+analysis::StreamingAnalysisResult FoldOf(const core::ExperimentResult& run) {
+  analysis::StreamingAnalysisConfig config;
+  config.machine_count = run.trace.machine_count();
+  config.perf_index = run.perf_index;
+  std::size_t first = 0;
+  for (const auto& lab : run.labs) {
+    config.labs.push_back(analysis::LabKey{lab.name, first, lab.machine_count});
+    first += lab.machine_count;
+  }
+  config.experiment_days = run.days;
+  analysis::StreamingAnalysis fold(std::move(config));
+  trace::StoreReader reader(run.trace);
+  while (const trace::TraceBlock* block = reader.Next()) {
+    fold.Accept(*block);
+  }
+  trace::TraceStore summary(run.trace.machine_count());
+  for (const auto& info : run.trace.iterations()) {
+    summary.AppendIteration(info);
+  }
+  return fold.Finish(summary);
+}
+
 const analysis::StreamingAnalysisResult& MaterialisedAnalysis() {
-  static const analysis::StreamingAnalysisResult result = [] {
-    const core::ExperimentResult& golden = Materialised();
-    analysis::StreamingAnalysisConfig config;
-    config.machine_count = golden.trace.machine_count();
-    config.perf_index = golden.perf_index;
-    std::size_t first = 0;
-    for (const auto& lab : golden.labs) {
-      config.labs.push_back(
-          analysis::LabKey{lab.name, first, lab.machine_count});
-      first += lab.machine_count;
-    }
-    config.experiment_days = golden.days;
-    analysis::StreamingAnalysis fold(std::move(config));
-    trace::StoreReader reader(golden.trace);
-    while (const trace::TraceBlock* block = reader.Next()) {
-      fold.Accept(*block);
-    }
-    trace::TraceStore summary(golden.trace.machine_count());
-    for (const auto& info : golden.trace.iterations()) {
-      summary.AppendIteration(info);
-    }
-    return fold.Finish(summary);
-  }();
+  static const analysis::StreamingAnalysisResult result =
+      FoldOf(Materialised());
   return result;
+}
+
+/// Simulates a crash mid-campaign in `dir`: lab 0 died mid-write
+/// (truncated segment, sidecar never committed) and lab 1's checkpoint
+/// was lost.
+void CrashFirstTwoLabs(const std::string& dir) {
+  const std::string seg0 = dir + "/lab0000.lmsg";
+  const std::uintmax_t size = std::filesystem::file_size(seg0);
+  std::filesystem::resize_file(seg0, size / 2);
+  std::filesystem::remove(dir + "/lab0000.ck");
+  std::filesystem::remove(dir + "/lab0001.ck");
 }
 
 void ExpectAnalysisIdentical(const analysis::StreamingAnalysisResult& a,
                              const analysis::StreamingAnalysisResult& b) {
+  // Bit-identical, not approximately equal: every comparison is EXPECT_EQ
+  // on the raw doubles.
   const auto expect_column = [](const analysis::Table2Column& x,
                                 const analysis::Table2Column& y) {
     EXPECT_EQ(x.samples, y.samples);
@@ -229,44 +250,37 @@ TEST(PipelinedDeterminismTest, SpilledRunMatchesAndCheckpoints) {
   EXPECT_EQ(sidecars, piped.labs.size());
 }
 
-TEST(PipelinedDeterminismTest, ResumesStreamingCheckpointsAndViceVersa) {
-  // Checkpoints are engine-portable: a pipelined run resumes a streaming
-  // spill dir (replaying segments through the ring concurrently with live
-  // simulation) and a streaming run resumes a pipelined spill dir.
-  const std::string dir = ::testing::TempDir() + "/labmon_pipe_cross";
+TEST(PipelinedDeterminismTest, ResumeAfterSimulatedCrashReproduces) {
+  // A resumed run replays the surviving labs' segments through the ring
+  // concurrently with live simulation of the crashed ones.
+  const std::string dir = ::testing::TempDir() + "/labmon_pipe_resume";
   std::filesystem::remove_all(dir);
   core::StreamingOptions options;
   options.spill_dir = dir;
   options.block_samples = 4096;
-  const auto seeded = core::StreamingExperiment::Run(GoldenConfig(2), options);
-  ASSERT_TRUE(seeded.errors.empty());
-  const std::size_t lab_count = seeded.labs.size();
+  const auto first = core::PipelinedExperiment::Run(GoldenConfig(2), options);
+  ASSERT_TRUE(first.errors.empty());
+  const std::size_t lab_count = first.labs.size();
   ASSERT_GE(lab_count, 2u);
 
-  // Crash two labs: a truncated segment and a lost sidecar.
-  {
-    const std::string seg0 = dir + "/lab0000.lmsg";
-    const std::uintmax_t size = std::filesystem::file_size(seg0);
-    std::filesystem::resize_file(seg0, size / 2);
-    std::filesystem::remove(dir + "/lab0000.ck");
-    std::filesystem::remove(dir + "/lab0001.ck");
-  }
+  CrashFirstTwoLabs(dir);
   core::StreamingOptions resume_options = options;
   resume_options.resume = true;
   resume_options.ring_capacity = 2;
-  const auto piped =
+  const auto resumed =
       core::PipelinedExperiment::Run(GoldenConfig(2), resume_options);
-  EXPECT_EQ(piped.labs_resumed, lab_count - 2);
-  ExpectRunIdentical(piped);
+  EXPECT_EQ(resumed.labs_resumed, lab_count - 2);
+  ExpectRunIdentical(resumed);
+  EXPECT_EQ(resumed.stream_hash, first.stream_hash);
 
-  // Reverse direction: crash a lab of the (pipelined-written) spill dir
-  // and resume it with the streaming engine.
+  // The resumed run's own checkpoints are as good as a fresh run's: lose
+  // one of the labs it re-simulated and resume once more.
   std::filesystem::remove(dir + "/lab0001.ck");
-  const auto streamed =
-      core::StreamingExperiment::Run(GoldenConfig(2), resume_options);
-  EXPECT_EQ(streamed.labs_resumed, lab_count - 1);
-  ASSERT_TRUE(streamed.errors.empty());
-  EXPECT_EQ(streamed.stream_hash, piped.stream_hash);
+  const auto again =
+      core::PipelinedExperiment::Run(GoldenConfig(2), resume_options);
+  EXPECT_EQ(again.labs_resumed, lab_count - 1);
+  ExpectRunIdentical(again);
+  EXPECT_EQ(again.stream_hash, first.stream_hash);
 }
 
 TEST(PipelinedDeterminismTest, CrossCodecResumeIsBitIdenticalBothWays) {
@@ -296,6 +310,7 @@ TEST(PipelinedDeterminismTest, CrossCodecResumeIsBitIdenticalBothWays) {
   EXPECT_EQ(second.labs_resumed, lab_count - 2);
   ExpectRunIdentical(second);
   EXPECT_EQ(second.stream_hash, first.stream_hash);
+  EXPECT_EQ(second.spill.codec, "lmsg2");
 
   // Reverse direction over the now-mixed directory: lose an LMSG2 lab's
   // checkpoint and resume requesting LMSG1 again.
@@ -306,6 +321,63 @@ TEST(PipelinedDeterminismTest, CrossCodecResumeIsBitIdenticalBothWays) {
   EXPECT_EQ(third.labs_resumed, lab_count - 1);
   ExpectRunIdentical(third);
   EXPECT_EQ(third.stream_hash, first.stream_hash);
+  EXPECT_EQ(third.spill.codec, "lmsg1");
+}
+
+TEST(PipelinedDeterminismTest, SpillStatsAccountForEveryBlockAndCompress) {
+  const std::string dir = ::testing::TempDir() + "/labmon_pipe_spill_stats";
+  std::filesystem::remove_all(dir);
+  core::StreamingOptions options;
+  options.spill_dir = dir;
+  options.block_samples = 4096;
+  const auto fresh = core::PipelinedExperiment::Run(GoldenConfig(2), options);
+  ASSERT_TRUE(fresh.errors.empty());
+  const core::SpillCompressionStats& spill = fresh.spill;
+  EXPECT_EQ(spill.codec, trace::SpillCodecName(trace::kDefaultSpillCodec));
+  EXPECT_EQ(spill.segments, fresh.labs.size());
+  // Every sample is encoded exactly once by collection; a fresh run
+  // merges from memory and decodes nothing.
+  EXPECT_EQ(spill.samples_encoded, fresh.samples);
+  EXPECT_EQ(spill.samples_decoded, 0u);
+  EXPECT_EQ(spill.blocks_decoded, 0u);
+  EXPECT_GT(spill.payload_bytes_encoded, 0u);
+  EXPECT_GE(spill.segment_bytes, spill.payload_bytes_encoded);
+  // Fleet-like streams compress ≥3× under LMSG2.
+  EXPECT_GT(spill.CompressionRatio(), 3.0);
+
+  // What the surviving labs' segments hold, read independently.
+  CrashFirstTwoLabs(dir);
+  std::uint64_t survivor_samples = 0;
+  std::uint64_t survivor_blocks = 0;
+  for (std::size_t lab = 2; lab < fresh.labs.size(); ++lab) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "/lab%04zu.lmsg", lab);
+    auto opened = trace::SegmentReader::Open(dir + name);
+    ASSERT_TRUE(opened.ok()) << opened.error();
+    trace::SegmentReader reader = std::move(opened).value();
+    while (const trace::TraceBlock* block = reader.Next()) {
+      survivor_samples += block->size();
+      ++survivor_blocks;
+    }
+    ASSERT_FALSE(reader.failed()) << reader.error();
+  }
+  ASSERT_GT(survivor_blocks, 0u);
+
+  // A resumed run decodes exactly the resumed labs' samples and blocks and
+  // encodes exactly the re-simulated labs' share.
+  core::StreamingOptions resume_options = options;
+  resume_options.resume = true;
+  const auto resumed =
+      core::PipelinedExperiment::Run(GoldenConfig(2), resume_options);
+  ASSERT_TRUE(resumed.errors.empty());
+  EXPECT_EQ(resumed.labs_resumed, fresh.labs.size() - 2);
+  EXPECT_EQ(resumed.spill.samples_decoded, survivor_samples);
+  EXPECT_EQ(resumed.spill.blocks_decoded, survivor_blocks);
+  EXPECT_EQ(resumed.spill.samples_encoded + survivor_samples, fresh.samples);
+  EXPECT_EQ(resumed.spill.blocks_encoded + survivor_blocks,
+            spill.blocks_encoded);
+  EXPECT_EQ(resumed.spill.segments, 2u);
+  EXPECT_GT(resumed.spill.CompressionRatio(), 3.0);
 }
 
 TEST(PipelinedDeterminismTest, AllLabsResumedSkipsSimulation) {
@@ -324,9 +396,9 @@ TEST(PipelinedDeterminismTest, AllLabsResumedSkipsSimulation) {
   ExpectRunIdentical(second);
 }
 
-TEST(PipelinedDeterminismTest, FaultedRunMatchesStreamingEngine) {
+TEST(PipelinedDeterminismTest, FaultedRunMatchesMaterialisedEngine) {
   // Under an active fault scenario the output differs from the clean
-  // golden, but the pipelined and streaming engines must still agree
+  // golden, but the pipelined and materialised engines must still agree
   // bit-for-bit with each other.
   core::ExperimentConfig config = GoldenConfig(4);
   config.fault_plan.enabled = true;
@@ -338,20 +410,32 @@ TEST(PipelinedDeterminismTest, FaultedRunMatchesStreamingEngine) {
   options.block_samples = 2048;
   options.ring_capacity = 4;
   options.window_iterations = 7;
-  const auto streamed = core::StreamingExperiment::Run(config, options);
-  ASSERT_TRUE(streamed.errors.empty());
+  const core::ExperimentResult materialised = core::Experiment::Run(config);
   const auto piped = core::PipelinedExperiment::Run(config, options);
   ASSERT_TRUE(piped.errors.empty());
   EXPECT_GT(piped.run_stats.faults_injected, 0u);
-  EXPECT_EQ(piped.stream_hash, streamed.stream_hash);
-  EXPECT_EQ(piped.samples, streamed.samples);
-  EXPECT_EQ(piped.merged_blocks, streamed.merged_blocks);
-  EXPECT_EQ(piped.run_stats.attempts, streamed.run_stats.attempts);
+  EXPECT_NE(piped.stream_hash, MaterialisedHash());
+  EXPECT_EQ(piped.stream_hash, HashOf(materialised));
+  EXPECT_EQ(piped.samples, materialised.trace.size());
+  EXPECT_EQ(piped.run_stats.attempts, materialised.run_stats.attempts);
   EXPECT_EQ(piped.run_stats.faults_injected,
-            streamed.run_stats.faults_injected);
-  EXPECT_EQ(piped.run_stats.corrupt, streamed.run_stats.corrupt);
-  EXPECT_EQ(piped.parse_failures, streamed.parse_failures);
-  ExpectAnalysisIdentical(piped.analysis, streamed.analysis);
+            materialised.run_stats.faults_injected);
+  EXPECT_EQ(piped.run_stats.corrupt, materialised.run_stats.corrupt);
+  EXPECT_EQ(piped.parse_failures, materialised.parse_failures);
+  ExpectAnalysisIdentical(piped.analysis, FoldOf(materialised));
+}
+
+TEST(PipelinedDeterminismTest, AnomalyDetectorObservesWholeStream) {
+  core::StreamingOptions options;
+  options.anomaly_threshold = 4.0;
+  const auto piped = core::PipelinedExperiment::Run(GoldenConfig(4), options);
+  ASSERT_TRUE(piped.errors.empty());
+  // Every merged sample is observed once, plus one observation per
+  // derived interval (strictly fewer than samples).
+  EXPECT_GE(piped.anomaly_observations, piped.samples);
+  EXPECT_LT(piped.anomaly_observations, 2 * piped.samples);
+  // Determinism must not depend on the detector being attached.
+  EXPECT_EQ(piped.stream_hash, MaterialisedHash());
 }
 
 TEST(PipelinedDeterminismTest, FailingLabAbortsWithoutDeadlock) {
