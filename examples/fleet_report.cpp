@@ -43,8 +43,9 @@
 // exports (there is no materialised trace to export).
 //
 // Numeric arguments are parsed strictly: a malformed or out-of-range
-// days, seed, --block-samples, --ring-capacity or --anomaly-threshold
-// value exits 1 with a message naming it.
+// days, seed, --workers, --retry, --shards, --scale-labs, --block-samples,
+// --ring-capacity, --anomaly-threshold, --harvest-dag or --deadline value
+// exits 1 with a message naming it.
 //
 // --shards N runs the simulation over N real threads (0 = one per core,
 // default). Output-invariant: any shard count yields the bit-identical
@@ -75,7 +76,6 @@
 // writes the per-shard x per-phase wall/allocation report to PATH plus a
 // chrome://tracing timeline next to it (PATH with a "_trace.json" suffix).
 // Profiling never changes the collected trace (bit-identical on or off).
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -183,6 +183,12 @@ std::string PipelineStatsJson(const core::PipelineStats& s) {
        << ", \"ring_pop_stalls\": " << s.ring_pop_stalls
        << ", \"ring_push_wait_s\": " << util::FormatFixed(s.ring_push_wait_s, 6)
        << ", \"ring_pop_wait_s\": " << util::FormatFixed(s.ring_pop_wait_s, 6)
+       << ", \"fold_ring_push_stalls\": " << s.fold_ring_push_stalls
+       << ", \"fold_ring_pop_stalls\": " << s.fold_ring_pop_stalls
+       << ", \"fold_ring_push_wait_s\": "
+       << util::FormatFixed(s.fold_ring_push_wait_s, 6)
+       << ", \"fold_ring_pop_wait_s\": "
+       << util::FormatFixed(s.fold_ring_pop_wait_s, 6)
        << ", \"merge_lag_peak_blocks\": " << s.merge_lag_peak_blocks
        << ", \"arena_acquired\": " << s.arena_acquired
        << ", \"arena_reused\": " << s.arena_reused
@@ -280,17 +286,15 @@ int main(int argc, char** argv) {
     } else if (const char* v = flag_value("--snapshot-dir")) {
       snapshot_dir = v;
     } else if (const char* v = flag_value("--workers")) {
-      workers = static_cast<std::size_t>(std::atoll(v));
+      workers = static_cast<std::size_t>(IntArg("--workers", v, 0, 4096));
     } else if (const char* v = flag_value("--fault-plan")) {
       fault_plan_path = v;
     } else if (const char* v = flag_value("--retry")) {
-      retry_attempts = std::atoi(v);
+      retry_attempts = static_cast<int>(IntArg("--retry", v, 1, 1000));
     } else if (const char* v = flag_value("--shards")) {
-      // 0 = auto (one per core); clamp nonsense values instead of dying —
-      // the shard count cannot change the output anyway.
-      shards = std::clamp(std::atoi(v), 0, 1024);
+      shards = static_cast<int>(IntArg("--shards", v, 0, 1024));  // 0 = auto
     } else if (const char* v = flag_value("--scale-labs")) {
-      scale_labs = std::clamp(std::atoi(v), 1, 1024);
+      scale_labs = static_cast<int>(IntArg("--scale-labs", v, 1, 1024));
     } else if (arg == "--stream") {
       stream = true;
     } else if (arg == "--resume") {
@@ -314,11 +318,8 @@ int main(int argc, char** argv) {
     } else if (const char* v = flag_value("--anomaly-threshold")) {
       anomaly_threshold = DoubleArg("--anomaly-threshold", v, 0.0, 1e6);
     } else if (const char* v = flag_value("--harvest-dag")) {
-      harvest_jobs = static_cast<std::size_t>(std::atoll(v));
-      if (harvest_jobs == 0) {
-        std::cerr << "--harvest-dag wants a positive job count\n";
-        return 1;
-      }
+      harvest_jobs = static_cast<std::size_t>(
+          IntArg("--harvest-dag", v, 1, std::int64_t{1} << 30));
     } else if (const char* v = flag_value("--job-mix")) {
       const auto parsed = harvest::ParseJobMixName(v);
       if (!parsed) {
@@ -328,7 +329,7 @@ int main(int argc, char** argv) {
       }
       job_mix = *parsed;
     } else if (const char* v = flag_value("--deadline")) {
-      deadline_hours = std::atof(v);
+      deadline_hours = DoubleArg("--deadline", v, 0.0, 1e6);  // 0 = none
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown flag " << arg << '\n';
       return 1;
@@ -526,7 +527,11 @@ int main(int argc, char** argv) {
               << " blocks staged through a ring of " << p.ring_capacity
               << " (peak occupancy " << p.ring_peak_occupancy << ", "
               << p.ring_push_stalls << " push / " << p.ring_pop_stalls
-              << " pop stalls), merge lag peak " << p.merge_lag_peak_blocks
+              << " pop stalls), fold ring " << p.fold_ring_push_stalls
+              << " push / " << p.fold_ring_pop_stalls << " pop stalls ("
+              << util::FormatFixed(p.fold_ring_push_wait_s, 3) << " / "
+              << util::FormatFixed(p.fold_ring_pop_wait_s, 3)
+              << " s parked), merge lag peak " << p.merge_lag_peak_blocks
               << " blocks, arena reuse "
               << util::FormatFixed(100.0 * p.arena_reuse_ratio, 1)
               << "%, serial fraction "

@@ -72,6 +72,7 @@ struct StreamingOptions {
 /// Pipeline health counters of one PipelinedExperiment run. Mirrored into
 /// obs::DefaultRegistry gauges under labmon_pipeline_*.
 struct PipelineStats {
+  // ring_* is the collect ring (shard workers and replay -> merge).
   std::uint64_t staged_blocks = 0;      ///< blocks pushed through the ring
   std::uint64_t ring_push_stalls = 0;   ///< producer waits (ring full)
   std::uint64_t ring_pop_stalls = 0;    ///< merge waits (ring empty)
@@ -79,6 +80,12 @@ struct PipelineStats {
   double ring_pop_wait_s = 0.0;
   std::size_t ring_peak_occupancy = 0;
   std::size_t ring_capacity = 0;
+  // fold_ring_* is the fold ring (merged blocks, merge -> fold): push
+  // stalls are the merge waiting on a slower fold.
+  std::uint64_t fold_ring_push_stalls = 0;  ///< merge waits (ring full)
+  std::uint64_t fold_ring_pop_stalls = 0;   ///< fold waits (ring empty)
+  double fold_ring_push_wait_s = 0.0;
+  double fold_ring_pop_wait_s = 0.0;
   /// Peak blocks buffered inside the merge frontier (merge lag).
   std::size_t merge_lag_peak_blocks = 0;
   std::uint64_t arena_acquired = 0;  ///< block acquisitions (all pools)

@@ -2,9 +2,11 @@
 //
 // Thread structure of one run:
 //
-//   shard workers (ParallelFor, one pass per lockstep window)
-//       │  seal iteration-aligned blocks at window boundaries
-//       ▼
+//   shard workers (ParallelFor,        replay thread (resumed labs'
+//   one pass per lockstep window)      spilled segments, in iteration
+//       │  seal iteration-aligned      order, gated to the live window)
+//       │  blocks at window boundaries     │
+//       ▼                                  ▼
 //   collect ring (bounded MPSC StagingRing<StagedBlock>)
 //       │  merge thread: drain → MergeFrontier::Advance
 //       ▼
@@ -22,19 +24,40 @@
 // sealers draw from, and the fold returns emptied merged blocks to the
 // emitter's pool — steady-state block traffic allocates nothing.
 //
+// A resumed lab is replayed from its spilled segment instead of being
+// re-simulated. The replay thread holds every resumed lab's SegmentReader
+// open and always decodes next from the lab whose next block starts at
+// the lowest iteration (a min-heap on (iteration, lab)), straight into a
+// pooled block. The resumed streams thus reach the merge interleaved by
+// iteration — round-robin for window-aligned segments — and the frontier
+// buffers about one block per lab instead of whole labs. In a mixed
+// resume the producer opens a ReplayGate up to the end of the window it
+// is about to simulate, and the replay pushes only blocks that start
+// before it, so replayed labs never run more than a window ahead of the
+// live ones; the producer likewise starts a window only once the replay
+// has pushed every block that starts before it.
+//
 // Shutdown discipline (no path may deadlock): the merge thread drains the
 // collect ring unconditionally, the fold thread drains the fold ring
 // unconditionally, so producers can never park forever on a full ring.
 // On error the rings are cancelled, which wakes every parked thread with
-// `false`; a scope guard declared after the worker threads cancels both
-// rings during unwind so the jthread joins always complete.
+// `false`. The replay thread parks on its gate only while collection runs:
+// the producer releases the gate when it stops, normally or on error, and
+// the replay marks itself done on every exit so the producer never waits
+// on a replay that has stopped. A scope guard declared after the worker
+// threads cancels both rings and releases the gate during unwind, so the
+// jthread joins always complete.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <queue>
 #include <string>
 #include <thread>
 #include <utility>
@@ -74,6 +97,66 @@ struct StagedBlock {
   std::size_t lab = 0;
   bool final_block = false;
   std::unique_ptr<trace::TraceBlock> block;
+};
+
+/// Keeps the replay and the live simulation of a mixed resume in step.
+/// The producer opens the gate up to the end of the window it is about to
+/// simulate, and the replay pushes a block only once it starts before
+/// that time. In turn the producer starts a window only after the replay
+/// has pushed every block that starts before it. Neither side runs more
+/// than a window ahead, so the merge frontier stays bounded whichever is
+/// faster. Release() and ReplayDone() lift the two waits for good, so
+/// neither side can stay parked once the other stops.
+class ReplayGate {
+ public:
+  /// Without both live and replayed labs there is nothing to keep in step.
+  explicit ReplayGate(bool mixed)
+      : open_until_(mixed ? 0 : kOpen), replayed_to_(mixed ? 0 : kOpen) {}
+
+  /// Producer: waits until the replay has pushed every block starting
+  /// before `window`, then lets it push blocks starting before `until`.
+  void Advance(util::SimTime window, util::SimTime until) {
+    std::unique_lock lock(mutex_);
+    changed_.wait(lock, [&] { return replayed_to_ >= window; });
+    open_until_ = std::max(open_until_, until);
+    lock.unlock();
+    changed_.notify_all();
+  }
+  /// Producer: collection stopped; the replay may push everything.
+  void Release() {
+    {
+      const std::scoped_lock lock(mutex_);
+      open_until_ = kOpen;
+    }
+    changed_.notify_all();
+  }
+
+  /// Replay: every block starting before `start` is pushed; waits until
+  /// the next one, starting at `start`, may be pushed.
+  void WaitToPush(util::SimTime start) {
+    std::unique_lock lock(mutex_);
+    replayed_to_ = start;
+    changed_.notify_all();
+    changed_.wait(lock,
+                  [&] { return start < open_until_ || open_until_ == kOpen; });
+  }
+  /// Replay: finished or aborted; the producer need not wait any more.
+  void ReplayDone() {
+    {
+      const std::scoped_lock lock(mutex_);
+      replayed_to_ = kOpen;
+    }
+    changed_.notify_all();
+  }
+
+ private:
+  static constexpr util::SimTime kOpen =
+      std::numeric_limits<util::SimTime>::max();
+
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  util::SimTime open_until_;
+  util::SimTime replayed_to_;
 };
 
 /// Per-shard arena: sealers acquire heap blocks here, the merge returns
@@ -274,6 +357,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
 
   std::vector<detail::LabCheckpoint> checkpoints(lab_count);
   std::vector<char> resumed(lab_count, 0);
+  // A resumed lab's segment stays open from here for the replay thread.
+  std::vector<std::optional<trace::SegmentReader>> segments(lab_count);
   if (options.resume && spill) {
     for (std::size_t lab = 0; lab < lab_count; ++lab) {
       detail::LabCheckpoint cp;
@@ -286,6 +371,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
       if (!reader.ok() || reader.value().machine_count() != machine_count) {
         continue;
       }
+      segments[lab].emplace(std::move(reader).value());
       checkpoints[lab] = cp;
       resumed[lab] = 1;
       ++result.labs_resumed;
@@ -456,61 +542,71 @@ StreamingExperimentResult PipelinedExperiment::Run(
     fold_finished = true;
   });
 
-  // Resumed labs replay their spilled segments into the ring from a
-  // dedicated reader thread, concurrent with live simulation.
+  // Resumed labs replay their spilled segments from a dedicated reader
+  // thread, concurrent with live simulation.
+  ReplayGate gate(live_labs > 0 && result.labs_resumed > 0);
+  auto replay = [&] {
+    // (first iteration of the lab's next block, lab), lowest on top.
+    using NextBlock = std::pair<std::uint64_t, std::size_t>;
+    std::priority_queue<NextBlock, std::vector<NextBlock>, std::greater<>>
+        order;
+    for (std::size_t lab = 0; lab < lab_count; ++lab) {
+      if (resumed[lab]) order.emplace(0, lab);
+    }
+    while (!order.empty()) {
+      const auto [iteration, lab] = order.top();
+      order.pop();
+      gate.WaitToPush(static_cast<util::SimTime>(iteration) * period);
+      trace::SegmentReader& reader = *segments[lab];
+      BlockPool& pool = *shard_pools[shard_of_lab[lab]];
+      std::unique_ptr<trace::TraceBlock> block = pool.Acquire();
+      if (!block) block = std::make_unique<trace::TraceBlock>();
+      StagedBlock item;
+      item.lab = lab;
+      if (reader.Next(*block)) {
+        item.block = std::move(block);
+        if (!collect_ring.Push(std::move(item))) return;  // cancelled
+        order.emplace(reader.next_iteration(), lab);
+        continue;
+      }
+      if (reader.failed()) {
+        // The merge cannot complete without this lab; stop replaying.
+        record_error(reader.error());
+        any_failed.store(true);
+        return;
+      }
+      {
+        const std::scoped_lock lock(spill_mutex);
+        detail::AccumulateSpillDecode(result.spill, reader.codec_stats());
+      }
+      item.final_block = true;
+      if (!collect_ring.Push(std::move(item))) return;
+    }
+  };
   std::jthread replay_thread;
   if (result.labs_resumed > 0) {
     replay_thread = std::jthread([&] {
       obs::prof::PhaseScope prof_stage(obs::prof::Phase::kStage);
-      for (std::size_t lab = 0; lab < lab_count; ++lab) {
-        if (!resumed[lab]) continue;
-        auto opened = trace::SegmentReader::Open(
-            detail::SegmentPath(options.spill_dir, lab));
-        if (!opened.ok()) {
-          record_error(opened.error());
-          any_failed.store(true);
-          continue;
-        }
-        trace::SegmentReader reader = std::move(opened).value();
-        BlockPool& pool = *shard_pools[shard_of_lab[lab]];
-        while (const trace::TraceBlock* next = reader.Next()) {
-          std::unique_ptr<trace::TraceBlock> block = pool.Acquire();
-          if (!block) block = std::make_unique<trace::TraceBlock>();
-          *block = *next;
-          StagedBlock item;
-          item.lab = lab;
-          item.block = std::move(block);
-          if (!collect_ring.Push(std::move(item))) return;  // cancelled
-        }
-        if (reader.failed()) {
-          record_error(reader.error());
-          any_failed.store(true);
-          continue;
-        }
-        {
-          const std::scoped_lock lock(spill_mutex);
-          detail::AccumulateSpillDecode(result.spill, reader.codec_stats());
-        }
-        StagedBlock fin;
-        fin.lab = lab;
-        fin.final_block = true;
-        if (!collect_ring.Push(std::move(fin))) return;
-      }
+      replay();
+      gate.ReplayDone();
     });
   }
 
-  // Unwind safety: cancelling both rings wakes every parked thread, so the
-  // jthread destructors above can always join. Declared after the threads
-  // so it runs first during stack unwinding; on the normal path both rings
-  // are already closed and drained by the time it fires.
+  // Unwind safety: cancelling both rings and releasing the replay gate
+  // wakes every parked thread, so the jthread destructors above can always
+  // join. Declared after the threads so it runs first during stack
+  // unwinding; on the normal path both rings are already closed and
+  // drained and the gate released by the time it fires.
   struct CancelGuard {
     util::StagingRing<StagedBlock>* collect;
     util::StagingRing<trace::TraceBlock>* fold;
+    ReplayGate* gate;
     ~CancelGuard() {
       collect->Cancel();
       fold->Cancel();
+      gate->Release();
     }
-  } cancel_guard{&collect_ring, &fold_ring};
+  } cancel_guard{&collect_ring, &fold_ring, &gate};
 
   // ---- Producer side: lockstep windows over the shard groups. ----
   {
@@ -582,6 +678,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
         if (any_failed.load()) break;
         const util::SimTime until =
             std::min<util::SimTime>(horizon, window + window_span);
+        gate.Advance(window, until);
         util::ParallelFor(
             shards.size(), [&](std::size_t s) { run_window(s, until); },
             shards.size());
@@ -659,6 +756,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
 
   // ---- Shutdown: end (or abort) the streams, join the stages. ----
   if (any_failed.load()) collect_ring.Cancel();
+  gate.Release();
   if (replay_thread.joinable()) replay_thread.join();
   if (any_failed.load()) {
     collect_ring.Cancel();
@@ -711,6 +809,13 @@ StreamingExperimentResult PipelinedExperiment::Run(
   pipe.ring_pop_wait_s = static_cast<double>(ring_stats.pop_wait_ns) * 1e-9;
   pipe.ring_peak_occupancy = ring_stats.peak_occupancy;
   pipe.ring_capacity = ring_stats.capacity;
+  const util::StagingRingStats fold_stats = fold_ring.stats();
+  pipe.fold_ring_push_stalls = fold_stats.push_stalls;
+  pipe.fold_ring_pop_stalls = fold_stats.pop_stalls;
+  pipe.fold_ring_push_wait_s =
+      static_cast<double>(fold_stats.push_wait_ns) * 1e-9;
+  pipe.fold_ring_pop_wait_s =
+      static_cast<double>(fold_stats.pop_wait_ns) * 1e-9;
   pipe.merge_lag_peak_blocks = merge_lag_peak;
   {
     util::RecyclingPool<trace::TraceBlock>::Stats merged_stats =

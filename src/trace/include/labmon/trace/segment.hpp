@@ -88,12 +88,21 @@ class SegmentReader final : public TraceReader {
   SegmentReader& operator=(SegmentReader&&) = default;
 
   const TraceBlock* Next() override;
+  /// Decodes the next block straight into `out` (e.g. a pooled block the
+  /// caller hands on) instead of the reader's scratch block. Returns false
+  /// at end of stream or on a read error — check failed() then.
+  [[nodiscard]] bool Next(TraceBlock& out);
   void Reset() override;
 
   [[nodiscard]] bool failed() const noexcept { return !error_.empty(); }
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
   [[nodiscard]] std::size_t machine_count() const noexcept {
     return machine_count_;
+  }
+  /// Stream-global number of the first iteration the next block covers:
+  /// a segment's blocks cover its lab's iterations contiguously from zero.
+  [[nodiscard]] std::uint64_t next_iteration() const noexcept {
+    return next_iteration_;
   }
   /// The codec this segment was written under (from its magic).
   [[nodiscard]] SpillCodecId codec() const noexcept { return codec_->id(); }

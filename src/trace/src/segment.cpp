@@ -177,28 +177,32 @@ void SegmentReader::Reset() {
 }
 
 const TraceBlock* SegmentReader::Next() {
-  if (!error_.empty()) return nullptr;
+  return Next(scratch_) ? &scratch_ : nullptr;
+}
+
+bool SegmentReader::Next(TraceBlock& out) {
+  if (!error_.empty()) return false;
   std::uint64_t payload_len = 0;
   bool clean_eof = false;
   if (!ReadVarint(in_, payload_len, clean_eof)) {
     if (!clean_eof) error_ = "truncated block length prefix: " + path_;
-    return nullptr;
+    return false;
   }
   if (payload_len > kMaxPayloadBytes) {
     error_ = "implausible block length (corrupt prefix): " + path_;
-    return nullptr;
+    return false;
   }
   payload_.resize(static_cast<std::size_t>(payload_len));
   in_.read(payload_.data(), static_cast<std::streamsize>(payload_len));
   if (in_.gcount() != static_cast<std::streamsize>(payload_len)) {
     error_ = "truncated block payload: " + path_;
-    return nullptr;
+    return false;
   }
   char sum[8];
   in_.read(sum, 8);
   if (in_.gcount() != 8) {
     error_ = "truncated block checksum: " + path_;
-    return nullptr;
+    return false;
   }
   std::uint64_t stored = 0;
   for (int i = 0; i < 8; ++i) {
@@ -207,18 +211,18 @@ const TraceBlock* SegmentReader::Next() {
   }
   if (stored != Fnv1a(payload_)) {
     error_ = "block checksum mismatch: " + path_;
-    return nullptr;
+    return false;
   }
   const std::uint64_t t0 = NowNs();
-  auto decoded = codec_->DecodeBlock(payload_, machine_count_, scratch_);
+  auto decoded = codec_->DecodeBlock(payload_, machine_count_, out);
   if (!decoded.ok()) {
     error_ = "block payload decode failed (" + decoded.error() + "): " + path_;
-    return nullptr;
+    return false;
   }
   SpillCodecStats delta;
   delta.blocks = 1;
-  delta.samples = scratch_.size();
-  delta.raw_bytes = RawColumnBytes(scratch_);
+  delta.samples = out.size();
+  delta.raw_bytes = RawColumnBytes(out);
   delta.payload_bytes = payload_.size();
   delta.ns = NowNs() - t0;
   stats_ += delta;
@@ -226,10 +230,10 @@ const TraceBlock* SegmentReader::Next() {
   // Payloads number iteration rows from zero; a segment's blocks cover the
   // lab's iterations contiguously in order, so restore the stream-global
   // numbering the merge keys on.
-  for (IterationInfo& info : scratch_.iterations) {
+  for (IterationInfo& info : out.iterations) {
     info.iteration = next_iteration_++;
   }
-  return &scratch_;
+  return true;
 }
 
 }  // namespace labmon::trace

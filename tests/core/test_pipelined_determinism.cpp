@@ -5,8 +5,10 @@
 // window length, block size and ring capacity (including the degenerate
 // capacity-1 ring, which forces constant backpressure), clean or faulted;
 // a campaign killed mid-run must resume from its per-lab checkpoints to
-// the exact same result, under either spill codec; and a failing lab must
-// abort the pipeline promptly instead of deadlocking a parked stage.
+// the exact same result, under either spill codec, replaying the resumed
+// labs in iteration order so the merge buffers about one block per lab;
+// and a failing lab must abort the pipeline promptly instead of
+// deadlocking a parked stage.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -26,11 +28,14 @@ namespace labmon {
 namespace {
 
 constexpr int kDays = 2;
+/// Resume horizon of the merge-lag tests: a week in 16-iteration windows
+/// spills about 42 blocks per lab.
+constexpr int kWeekDays = 7;
 constexpr std::uint64_t kSeed = 20050201;
 
-core::ExperimentConfig GoldenConfig(int shards) {
+core::ExperimentConfig GoldenConfig(int shards, int days = kDays) {
   core::ExperimentConfig config;
-  config.campus.days = kDays;
+  config.campus.days = days;
   config.campus.seed = kSeed;
   config.shards = shards;
   return config;
@@ -77,6 +82,12 @@ analysis::StreamingAnalysisResult FoldOf(const core::ExperimentResult& run) {
 const analysis::StreamingAnalysisResult& MaterialisedAnalysis() {
   static const analysis::StreamingAnalysisResult result =
       FoldOf(Materialised());
+  return result;
+}
+
+const core::ExperimentResult& MaterialisedWeek() {
+  static const core::ExperimentResult result =
+      core::Experiment::Run(GoldenConfig(1, kWeekDays));
   return result;
 }
 
@@ -164,11 +175,12 @@ void ExpectAnalysisIdentical(const analysis::StreamingAnalysisResult& a,
   }
 }
 
-void ExpectRunIdentical(const core::StreamingExperimentResult& piped) {
-  const core::ExperimentResult& golden = Materialised();
+void ExpectRunIdentical(const core::StreamingExperimentResult& piped,
+                        const core::ExperimentResult& golden,
+                        const analysis::StreamingAnalysisResult& analysis) {
   ASSERT_TRUE(piped.errors.empty())
       << "first error: " << piped.errors.front();
-  EXPECT_EQ(piped.stream_hash, MaterialisedHash());
+  EXPECT_EQ(piped.stream_hash, HashOf(golden));
   EXPECT_EQ(piped.samples, golden.trace.size());
   EXPECT_EQ(piped.run_stats.iterations, golden.run_stats.iterations);
   EXPECT_EQ(piped.run_stats.attempts, golden.run_stats.attempts);
@@ -186,7 +198,11 @@ void ExpectRunIdentical(const core::StreamingExperimentResult& piped) {
   EXPECT_EQ(piped.summary.iterations().size(),
             golden.trace.iterations().size());
   EXPECT_EQ(piped.perf_index, golden.perf_index);
-  ExpectAnalysisIdentical(piped.analysis, MaterialisedAnalysis());
+  ExpectAnalysisIdentical(piped.analysis, analysis);
+}
+
+void ExpectRunIdentical(const core::StreamingExperimentResult& piped) {
+  ExpectRunIdentical(piped, Materialised(), MaterialisedAnalysis());
 }
 
 TEST(PipelinedDeterminismTest, DefaultsMatchMaterialisedEngine) {
@@ -396,6 +412,45 @@ TEST(PipelinedDeterminismTest, AllLabsResumedSkipsSimulation) {
   ExpectRunIdentical(second);
 }
 
+TEST(PipelinedDeterminismTest, ResumeReplayKeepsMergeLagPerLab) {
+  // Replaying resumed labs one after another would make the merge buffer
+  // every lab but the last whole (about 10 x 42 blocks here), because a
+  // front needs content from every lab. Iteration-ordered replay, gated
+  // to the live window in a mixed resume, holds about one block per lab.
+  const std::string dir = ::testing::TempDir() + "/labmon_pipe_resume_lag";
+  std::filesystem::remove_all(dir);
+  core::StreamingOptions options;
+  options.spill_dir = dir;
+  options.window_iterations = 16;
+  const core::ExperimentConfig config = GoldenConfig(2, kWeekDays);
+  const auto first = core::PipelinedExperiment::Run(config, options);
+  ASSERT_TRUE(first.errors.empty());
+  const std::size_t lab_count = first.labs.size();
+  ASSERT_GE(lab_count, 3u);
+  const analysis::StreamingAnalysisResult week_analysis =
+      FoldOf(MaterialisedWeek());
+  ExpectRunIdentical(first, MaterialisedWeek(), week_analysis);
+
+  core::StreamingOptions resume_options = options;
+  resume_options.resume = true;
+  {
+    SCOPED_TRACE("all labs resumed");
+    const auto all = core::PipelinedExperiment::Run(config, resume_options);
+    EXPECT_EQ(all.labs_resumed, lab_count);
+    ExpectRunIdentical(all, MaterialisedWeek(), week_analysis);
+    EXPECT_LE(all.pipeline.merge_lag_peak_blocks, 2 * lab_count);
+  }
+  {
+    SCOPED_TRACE("two labs re-simulated");
+    std::filesystem::remove(dir + "/lab0000.ck");
+    std::filesystem::remove(dir + "/lab0001.ck");
+    const auto mixed = core::PipelinedExperiment::Run(config, resume_options);
+    EXPECT_EQ(mixed.labs_resumed, lab_count - 2);
+    ExpectRunIdentical(mixed, MaterialisedWeek(), week_analysis);
+    EXPECT_LE(mixed.pipeline.merge_lag_peak_blocks, 2 * lab_count);
+  }
+}
+
 TEST(PipelinedDeterminismTest, FaultedRunMatchesMaterialisedEngine) {
   // Under an active fault scenario the output differs from the clean
   // golden, but the pipelined and materialised engines must still agree
@@ -453,6 +508,34 @@ TEST(PipelinedDeterminismTest, FailingLabAbortsWithoutDeadlock) {
   options.ring_capacity = 1;
   options.window_iterations = 2;
   const auto piped = core::PipelinedExperiment::Run(GoldenConfig(4), options);
+  ASSERT_FALSE(piped.errors.empty());
+  EXPECT_EQ(piped.samples, 0u);
+}
+
+TEST(PipelinedDeterminismTest, FailingLiveLabAbortsMixedResume) {
+  // A mixed resume whose re-simulated lab cannot open its segment fails in
+  // the first window, by which time the replay thread has usually pushed
+  // that window and parked on the gate waiting for the next. Releasing the
+  // gate on the error path must let every stage finish (the test would
+  // time out if a stage stayed parked).
+  const std::string dir = ::testing::TempDir() + "/labmon_pipe_fail_mixed";
+  std::filesystem::remove_all(dir);
+  core::StreamingOptions options;
+  options.spill_dir = dir;
+  options.block_samples = 256;
+  options.window_iterations = 2;
+  const auto first = core::PipelinedExperiment::Run(GoldenConfig(4), options);
+  ASSERT_TRUE(first.errors.empty());
+
+  std::filesystem::remove(dir + "/lab0000.ck");
+  std::filesystem::remove(dir + "/lab0000.lmsg");
+  std::filesystem::create_directories(dir + "/lab0000.lmsg");
+  core::StreamingOptions resume_options = options;
+  resume_options.resume = true;
+  resume_options.ring_capacity = 1;
+  const auto piped =
+      core::PipelinedExperiment::Run(GoldenConfig(4), resume_options);
+  EXPECT_EQ(piped.labs_resumed, first.labs.size() - 1);
   ASSERT_FALSE(piped.errors.empty());
   EXPECT_EQ(piped.samples, 0u);
 }

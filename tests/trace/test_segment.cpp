@@ -119,6 +119,40 @@ TEST_P(SegmentCodecTest, RoundTripPreservesSamplesUsersIterations) {
   EXPECT_EQ(again->size(), 5u);
 }
 
+TEST_P(SegmentCodecTest, DecodeIntoCallerBlockMatchesNext) {
+  // A caller block that still holds a bigger, older block's rows must come
+  // back holding exactly what Next() yields, with the same iteration
+  // numbering and codec accounting.
+  const std::string path =
+      WriteSegment(Path("seg_decode_into"), {9, 4, 6}, codec());
+  auto by_next = SegmentReader::Open(path);
+  auto by_into = SegmentReader::Open(path);
+  ASSERT_TRUE(by_next.ok() && by_into.ok());
+  TraceBlock out;
+  out.AssignFrom(MakeBlockStore(7, 12));
+  std::size_t blocks = 0;
+  while (const TraceBlock* expect = by_next.value().Next()) {
+    EXPECT_EQ(by_into.value().next_iteration(), blocks);
+    ASSERT_TRUE(by_into.value().Next(out));
+    ASSERT_EQ(out.size(), expect->size());
+    TraceStore::ForEachColumn([&](auto member) {
+      EXPECT_EQ(out.cols.*member, expect->cols.*member);
+    });
+    EXPECT_EQ(out.users, expect->users);
+    ASSERT_EQ(out.iterations.size(), 1u);
+    EXPECT_EQ(out.iterations[0].iteration, expect->iterations[0].iteration);
+    ++blocks;
+  }
+  EXPECT_EQ(blocks, 3u);
+  EXPECT_FALSE(by_into.value().Next(out));
+  EXPECT_FALSE(by_into.value().failed());
+  EXPECT_EQ(by_into.value().next_iteration(), 3u);
+  EXPECT_EQ(by_into.value().codec_stats().samples,
+            by_next.value().codec_stats().samples);
+  EXPECT_EQ(by_into.value().codec_stats().payload_bytes,
+            by_next.value().codec_stats().payload_bytes);
+}
+
 TEST_P(SegmentCodecTest, ZeroSampleBlockRoundTrips) {
   const std::string path = Path("seg_empty_block");
   auto writer = SegmentWriter::Open(path, 4, codec());
