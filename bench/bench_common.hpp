@@ -142,7 +142,7 @@ struct Fig6Comparison {
 
 /// Compares a harvest run's effective-dedicated-machines figure (already
 /// normalised by the fleet-average combined index — see
-/// harvest::HarvestResult / harvest::DagResult) with a Figure 6 ratio.
+/// harvest::DagResult) with a Figure 6 ratio.
 inline Fig6Comparison CompareWithFig6(double effective_dedicated_machines,
                                       std::size_t fleet_size,
                                       double paper_ratio) {

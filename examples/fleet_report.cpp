@@ -106,12 +106,15 @@
 #include "labmon/winsim/paper_specs.hpp"
 #include "labmon/workload/config_io.hpp"
 #include "labmon/workload/driver.hpp"
+#include "labmon/util/cli.hpp"
 #include "labmon/util/log.hpp"
 #include "labmon/util/strings.hpp"
 
 namespace {
 
 using namespace labmon;
+using util::DoubleArg;
+using util::IntArg;
 
 /// Response rate per lab and the overrun distribution, computed straight
 /// from the registry snapshot (exercises the same data a scrape would see).
@@ -199,32 +202,6 @@ std::string PipelineStatsJson(const core::PipelineStats& s) {
        << ", \"serial_fraction\": "
        << util::FormatFixed(s.serial_fraction, 4) << "}";
   return json.str();
-}
-
-/// Strict integer argument in [lo, hi]; exits 1 naming `what` otherwise
-/// (atoll would silently turn "abc" into 0).
-std::int64_t IntArg(const char* what, const std::string& text,
-                    std::int64_t lo, std::int64_t hi) {
-  const auto parsed = util::ParseInt64(text);
-  if (!parsed || *parsed < lo || *parsed > hi) {
-    std::cerr << what << " wants an integer in [" << lo << ", " << hi
-              << "], got \"" << text << "\"\n";
-    std::exit(1);
-  }
-  return *parsed;
-}
-
-/// Strict floating-point argument in [lo, hi] (NaN rejected); exits 1
-/// naming `what` otherwise.
-double DoubleArg(const char* what, const std::string& text, double lo,
-                 double hi) {
-  const auto parsed = util::ParseDouble(text);
-  if (!parsed || !(*parsed >= lo && *parsed <= hi)) {
-    std::cerr << what << " wants a number in [" << lo << ", " << hi
-              << "], got \"" << text << "\"\n";
-    std::exit(1);
-  }
-  return *parsed;
 }
 
 bool WriteFileOrComplain(const std::string& path,

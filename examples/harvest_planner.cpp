@@ -7,11 +7,11 @@
 // submitted at hour H, with and without occupied machines?
 //
 //   $ ./harvest_planner [batch_cpu_hours] [days]
-#include <cstdlib>
 #include <iostream>
 
 #include "labmon/core/experiment.hpp"
 #include "labmon/core/report.hpp"
+#include "labmon/util/cli.hpp"
 #include "labmon/util/strings.hpp"
 #include "labmon/util/table.hpp"
 
@@ -41,9 +41,14 @@ double HoursToDrain(const stats::WeeklyProfile& profile, std::size_t start_bin,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double batch_hours = argc > 1 ? std::atof(argv[1]) : 2000.0;
+  const double batch_hours =
+      argc > 1 ? util::DoubleArg("batch_cpu_hours", argv[1], 0.0, 1e9)
+               : 2000.0;
   core::ExperimentConfig config;
-  if (argc > 2) config.campus.days = std::atoi(argv[2]);
+  if (argc > 2) {
+    config.campus.days =
+        static_cast<int>(util::IntArg("days", argv[2], 1, 5000));
+  }
 
   std::cout << "Planning a " << util::FormatFixed(batch_hours, 0)
             << " machine-hour batch on the simulated classrooms...\n\n";

@@ -3,11 +3,11 @@
 // Table 1's INT/FP columns.
 //
 //   $ ./nbench_host [seconds_per_kernel]
-#include <cstdlib>
 #include <iostream>
 
 #include "labmon/ddc/nbench_probe.hpp"
 #include "labmon/nbench/nbench.hpp"
+#include "labmon/util/cli.hpp"
 #include "labmon/util/strings.hpp"
 #include "labmon/util/table.hpp"
 
@@ -15,11 +15,9 @@ int main(int argc, char** argv) {
   using namespace labmon;
 
   nbench::SuiteConfig config;
-  config.min_seconds_per_kernel = argc > 1 ? std::atof(argv[1]) : 0.25;
-  if (config.min_seconds_per_kernel <= 0.0) {
-    std::cerr << "usage: nbench_host [seconds_per_kernel>0]\n";
-    return 1;
-  }
+  config.min_seconds_per_kernel =
+      argc > 1 ? util::DoubleArg("seconds_per_kernel", argv[1], 0.001, 3600.0)
+               : 0.25;
 
   std::cout << "Running the 10 BYTEmark-style kernels ("
             << util::FormatFixed(config.min_seconds_per_kernel, 2)

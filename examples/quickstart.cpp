@@ -2,22 +2,19 @@
 // print the headline numbers.
 //
 //   $ ./quickstart [days]
-#include <cstdlib>
 #include <iostream>
 
 #include "labmon/core/experiment.hpp"
 #include "labmon/core/report.hpp"
+#include "labmon/util/cli.hpp"
 #include "labmon/util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace labmon;
 
   core::ExperimentConfig config;
-  config.campus.days = argc > 1 ? std::atoi(argv[1]) : 7;
-  if (config.campus.days <= 0) {
-    std::cerr << "usage: quickstart [days>0]\n";
-    return 1;
-  }
+  config.campus.days =
+      argc > 1 ? static_cast<int>(util::IntArg("days", argv[1], 1, 5000)) : 7;
 
   std::cout << "Simulating " << config.campus.days
             << " day(s) of 169 Windows 2000 classroom machines...\n\n";

@@ -17,6 +17,7 @@
 #include "labmon/util/strings.hpp"
 #include "labmon/winsim/paper_specs.hpp"
 #include "labmon/workload/profile.hpp"
+#include "streaming_detail.hpp"
 
 namespace labmon::core {
 
@@ -77,15 +78,6 @@ std::size_t ReservePerMachine(const workload::CampusConfig& campus) {
          1;
 }
 
-/// What one shard produces; merged on the main thread afterwards.
-struct ShardOutput {
-  ddc::RunStats stats;             ///< attempt tallies summed over the labs
-  workload::GroundTruth truth;
-  std::uint64_t parse_failures = 0;
-  std::uint64_t crosscheck_mismatches = 0;
-  double wall_s = 0.0;             ///< real time the shard's thread spent
-};
-
 }  // namespace
 
 ExperimentResult Experiment::Run(const ExperimentConfig& config) {
@@ -126,9 +118,11 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
                   "-day experiment over " + std::to_string(fleet.size()) +
                   " machines (" + std::to_string(shards.size()) + " shards)");
 
-  // One trace per lab, merged below; one output per shard.
+  // One trace and one contribution per lab, merged below; one wall time
+  // (real time the shard's thread spent) per shard.
   std::vector<trace::TraceStore> lab_traces(lab_count);
-  std::vector<ShardOutput> outputs(shards.size());
+  std::vector<detail::LabCheckpoint> lab_totals(lab_count);
+  std::vector<double> shard_wall_s(shards.size());
   const auto collect_t0 = std::chrono::steady_clock::now();
   {
     obs::Span collect_span("experiment.collect");
@@ -139,7 +133,6 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
       shard_span.SetSimRange(0, config.campus.EndTime());
       obs::prof::ShardScope prof_shard(static_cast<std::uint32_t>(s));
       obs::prof::PhaseScope prof_collect(obs::prof::Phase::kCollect);
-      ShardOutput& out = outputs[s];
       for (std::size_t lab = shards[s].lab_begin; lab < shards[s].lab_end;
            ++lab) {
         const winsim::LabInfo& info = fleet.labs()[lab];
@@ -150,18 +143,7 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
         store.Reserve(reserve_per_machine * info.count);
         trace::TraceStoreSink sink(store);
         ddc::W32Probe probe;
-        ddc::CoordinatorConfig collector = config.collector;
-        collector.structured_fast_path = config.structured_fast_path;
-        collector.first_machine = info.first;
-        collector.machine_count = info.count;
-        collector.aligned_schedule = true;
-        collector.seed = util::DeriveSeed(
-            config.collector.seed, util::seed_stream::kCollector, lab);
-        // Per-lab injector: a plan copy on the lab's own fault substream, so
-        // fault draws are independent of how labs are grouped into shards.
-        faultsim::FaultPlan plan = config.fault_plan;
-        plan.seed = util::DeriveSeed(config.fault_plan.seed,
-                                     util::seed_stream::kFaults, lab);
+        auto [collector, plan] = detail::LabCollectionFor(config, info, lab);
         faultsim::FaultInjector injector(plan, collector.metrics);
         if (injector.active()) {
           injector.BindFleet(fleet);
@@ -177,24 +159,12 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
         const ddc::RunStats stats =
             coordinator.Run(0, config.campus.EndTime());
         driver.FinishAt(config.campus.EndTime());
-
-        out.stats.attempts += stats.attempts;
-        out.stats.successes += stats.successes;
-        out.stats.timeouts += stats.timeouts;
-        out.stats.errors += stats.errors;
-        out.stats.missing += stats.missing;
-        out.stats.corrupt += stats.corrupt;
-        out.stats.recovered_after_retry += stats.recovered_after_retry;
-        out.stats.retry_attempts += stats.retry_attempts;
-        out.stats.retried_collections += stats.retried_collections;
-        out.stats.faults_injected += stats.faults_injected;
-        out.truth += driver.ground_truth();
-        out.parse_failures += sink.parse_failures();
-        out.crosscheck_mismatches += sink.crosscheck_mismatches();
+        lab_totals[lab] =
+            detail::FinishedLab(stats, driver.ground_truth(), sink);
       }
-      out.wall_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
+      shard_wall_s[s] = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
     };
     util::ParallelFor(shards.size(), run_shard, shards.size());
   }
@@ -208,11 +178,12 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
   {
     double max_wall = 0.0;
     double sum_wall = 0.0;
-    for (const ShardOutput& out : outputs) {
-      max_wall = std::max(max_wall, out.wall_s);
-      sum_wall += out.wall_s;
+    for (const double wall : shard_wall_s) {
+      max_wall = std::max(max_wall, wall);
+      sum_wall += wall;
     }
-    const double mean_wall = sum_wall / static_cast<double>(outputs.size());
+    const double mean_wall =
+        sum_wall / static_cast<double>(shard_wall_s.size());
     obs::DefaultRegistry()
         .GetGauge("labmon_experiment_shard_imbalance_ratio",
                   "Max shard wall time / mean shard wall time of the last "
@@ -223,61 +194,17 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
   // Deterministic merge: iteration-major, (t, machine)-ordered. The result
   // is the same for every shard count and thread schedule.
   result.trace = trace::MergeTraces(lab_traces);
-  for (const ShardOutput& out : outputs) {
-    result.run_stats.attempts += out.stats.attempts;
-    result.run_stats.successes += out.stats.successes;
-    result.run_stats.timeouts += out.stats.timeouts;
-    result.run_stats.errors += out.stats.errors;
-    result.run_stats.missing += out.stats.missing;
-    result.run_stats.corrupt += out.stats.corrupt;
-    result.run_stats.recovered_after_retry += out.stats.recovered_after_retry;
-    result.run_stats.retry_attempts += out.stats.retry_attempts;
-    result.run_stats.retried_collections += out.stats.retried_collections;
-    result.run_stats.faults_injected += out.stats.faults_injected;
-    result.ground_truth += out.truth;
-    result.parse_failures += out.parse_failures;
-    result.crosscheck_mismatches += out.crosscheck_mismatches;
+  for (const detail::LabCheckpoint& lab : lab_totals) {
+    detail::AccumulateCheckpoint(result, lab);
   }
-  // Iteration aggregates from the merged (campus-wide) iteration records:
-  // an iteration spans the earliest lab start to the latest lab end.
-  {
-    double sum_s = 0.0;
-    for (const trace::IterationInfo& it : result.trace.iterations()) {
-      const double duration = static_cast<double>(it.end_t - it.start_t);
-      sum_s += duration;
-      result.run_stats.max_iteration_s =
-          std::max(result.run_stats.max_iteration_s, duration);
-    }
-    const std::size_t n = result.trace.iterations().size();
-    result.run_stats.iterations = n;
-    result.run_stats.mean_iteration_s =
-        n ? sum_s / static_cast<double>(n) : 0.0;
-    result.run_stats.total_span_s =
-        n ? static_cast<double>(result.trace.iterations().back().end_t) : 0.0;
-  }
+  detail::ComputeIterationAggregates(result.run_stats,
+                                     result.trace.iterations());
   if (result.crosscheck_mismatches != 0) {
     util::log::Warn(std::to_string(result.crosscheck_mismatches) +
                     " structured/text cross-check mismatches — the fast-path "
                     "codec diverged from the wire format");
   }
-  result.hardware = fleet.HardwareTotals();
-  result.perf_index.reserve(fleet.size());
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    result.perf_index.push_back(fleet.machine(i).spec().CombinedIndex());
-  }
-  for (const auto& lab : fleet.labs()) {
-    const auto& spec = fleet.machine(lab.first).spec();
-    LabSummary summary;
-    summary.name = lab.name;
-    summary.machine_count = lab.count;
-    summary.cpu_model = spec.cpu_model;
-    summary.cpu_ghz = spec.cpu_ghz;
-    summary.ram_mb = spec.ram_mb;
-    summary.disk_gb = spec.disk_gb;
-    summary.int_index = spec.int_index;
-    summary.fp_index = spec.fp_index;
-    result.labs.push_back(std::move(summary));
-  }
+  detail::FillFleetSummaries(result, fleet);
   // Critical-path share: fraction of the run's wall time spent outside the
   // sharded collect region (fleet build, merge, aggregation) — the serial
   // work that caps any shard-count speedup (Amdahl). Exposed for the

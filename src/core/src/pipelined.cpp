@@ -418,11 +418,14 @@ StreamingExperimentResult PipelinedExperiment::Run(
       ")");
 
   // Fold configuration needs the fleet summaries, so fill them up front.
-  std::vector<analysis::LabKey> keys = detail::FillFleetSummaries(result, fleet);
+  detail::FillFleetSummaries(result, fleet);
   analysis::StreamingAnalysisConfig fold_config;
   fold_config.machine_count = machine_count;
   fold_config.perf_index = result.perf_index;
-  fold_config.labs = std::move(keys);
+  for (const auto& lab : fleet.labs()) {
+    fold_config.labs.push_back(
+        analysis::LabKey{lab.name, lab.first, lab.count});
+  }
   fold_config.experiment_days = config.campus.days;
   analysis::StreamingAnalysis fold(std::move(fold_config));
 
@@ -635,16 +638,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
             writer = std::make_unique<trace::SegmentWriter>(
                 std::move(opened).value());
           }
-          ddc::CoordinatorConfig collector = config.collector;
-          collector.structured_fast_path = config.structured_fast_path;
-          collector.first_machine = info.first;
-          collector.machine_count = info.count;
-          collector.aligned_schedule = true;
-          collector.seed = util::DeriveSeed(
-              config.collector.seed, util::seed_stream::kCollector, lab);
-          faultsim::FaultPlan plan = config.fault_plan;
-          plan.seed = util::DeriveSeed(config.fault_plan.seed,
-                                       util::seed_stream::kFaults, lab);
+          const detail::LabCollection setup =
+              detail::LabCollectionFor(config, info, lab);
           // A window seals at most window_iterations iterations (plus the
           // budget-crossing one), so the working store never needs the
           // full block budget for short windows.
@@ -656,8 +651,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
               info.count;
           runs[lab] = std::make_unique<LabRun>(
               fleet, config.campus, profile, lab, machine_count, reserve,
-              collector, plan, std::move(writer), options.block_samples,
-              collect_ring, *shard_pools[s]);
+              setup.collector, setup.plan, std::move(writer),
+              options.block_samples, collect_ring, *shard_pools[s]);
           runs[lab]->coordinator().Begin(0);
         }
         LabRun& run = *runs[lab];
@@ -707,20 +702,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
           }
 
           detail::LabCheckpoint& cp = checkpoints[lab];
-          cp.stats.attempts = stats.attempts;
-          cp.stats.successes = stats.successes;
-          cp.stats.timeouts = stats.timeouts;
-          cp.stats.errors = stats.errors;
-          cp.stats.missing = stats.missing;
-          cp.stats.corrupt = stats.corrupt;
-          cp.stats.recovered_after_retry = stats.recovered_after_retry;
-          cp.stats.retry_attempts = stats.retry_attempts;
-          cp.stats.retried_collections = stats.retried_collections;
-          cp.stats.faults_injected = stats.faults_injected;
-          cp.truth = run.driver().ground_truth();
-          cp.parse_failures = run.sink().inner().parse_failures();
-          cp.crosscheck_mismatches =
-              run.sink().inner().crosscheck_mismatches();
+          cp = detail::FinishedLab(stats, run.driver().ground_truth(),
+                                   run.sink().inner());
           cp.blocks = run.sink().blocks_sealed();
           cp.codec = options.spill_codec;
 
@@ -790,7 +773,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
   result.samples = merged_samples;
   result.merged_blocks = merged_blocks;
   result.stream_hash = stream_hash;
-  detail::ComputeIterationAggregates(result);
+  detail::ComputeIterationAggregates(result.run_stats,
+                                     result.summary.iterations());
   result.analysis = std::move(analysis_result);
   if (detector) {
     result.anomalies = detector->anomalies();

@@ -1,24 +1,29 @@
-// Internal helpers of the streamed campaign engine (core/src only — not
-// part of the installed API): the per-lab checkpoint payload, its sidecar
-// codec, spill-path naming, and the result-assembly steps that mirror
-// Experiment::Run's per-shard sums.
+// Internal helpers of the campaign engines (core/src only — not part of
+// the installed API): the per-lab checkpoint payload, its sidecar codec,
+// spill-path naming, and the per-lab setup and result-assembly steps that
+// Experiment::Run and PipelinedExperiment::Run share, so both engines
+// derive and sum a lab's contribution the same way.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 
 #include "labmon/core/streaming.hpp"
 #include "labmon/obs/registry.hpp"
+#include "labmon/trace/sink.hpp"
 #include "labmon/trace/spill_codec.hpp"
+#include "labmon/util/rng.hpp"
 #include "labmon/winsim/fleet.hpp"
 
 namespace labmon::core::detail {
 
-/// What one lab's collection contributes to the campaign totals — exactly
-/// the fields Experiment::Run sums per shard. This is also the sidecar
-/// payload: a resumed lab restores these without re-simulating.
+/// What one lab's collection contributes to the campaign totals. This is
+/// also the sidecar payload: a resumed lab restores these without
+/// re-simulating.
 struct LabCheckpoint {
   ddc::RunStats stats;
   workload::GroundTruth truth;
@@ -138,23 +143,69 @@ inline bool LoadSidecar(const std::string& path, std::uint64_t fingerprint,
   return true;
 }
 
-/// Sums one lab's checkpoint into the campaign result (iteration-derived
-/// RunStats fields are installed later from the merged iteration records).
-inline void AccumulateCheckpoint(StreamingExperimentResult& result,
-                                 const LabCheckpoint& cp) {
-  result.run_stats.attempts += cp.stats.attempts;
-  result.run_stats.successes += cp.stats.successes;
-  result.run_stats.timeouts += cp.stats.timeouts;
-  result.run_stats.errors += cp.stats.errors;
-  result.run_stats.missing += cp.stats.missing;
-  result.run_stats.corrupt += cp.stats.corrupt;
-  result.run_stats.recovered_after_retry += cp.stats.recovered_after_retry;
-  result.run_stats.retry_attempts += cp.stats.retry_attempts;
-  result.run_stats.retried_collections += cp.stats.retried_collections;
-  result.run_stats.faults_injected += cp.stats.faults_injected;
+/// Sums the attempt counters of `from` into `into`. The iteration-derived
+/// fields are left alone: they come from the merged iteration records
+/// (ComputeIterationAggregates).
+inline void AddAttemptCounters(ddc::RunStats& into,
+                               const ddc::RunStats& from) {
+  into.attempts += from.attempts;
+  into.successes += from.successes;
+  into.timeouts += from.timeouts;
+  into.errors += from.errors;
+  into.missing += from.missing;
+  into.corrupt += from.corrupt;
+  into.recovered_after_retry += from.recovered_after_retry;
+  into.retry_attempts += from.retry_attempts;
+  into.retried_collections += from.retried_collections;
+  into.faults_injected += from.faults_injected;
+}
+
+/// The contribution of a lab whose collection just finished. The segment
+/// fields (`blocks`, `codec`) are the caller's to fill.
+inline LabCheckpoint FinishedLab(const ddc::RunStats& stats,
+                                 const workload::GroundTruth& truth,
+                                 const trace::TraceStoreSink& sink) {
+  LabCheckpoint cp;
+  AddAttemptCounters(cp.stats, stats);
+  cp.truth = truth;
+  cp.parse_failures = sink.parse_failures();
+  cp.crosscheck_mismatches = sink.crosscheck_mismatches();
+  return cp;
+}
+
+/// Sums one lab's contribution into an ExperimentResult or a
+/// StreamingExperimentResult. Every field is an integer count, so the
+/// totals do not depend on the order labs are summed in.
+template <typename Result>
+void AccumulateCheckpoint(Result& result, const LabCheckpoint& cp) {
+  AddAttemptCounters(result.run_stats, cp.stats);
   result.ground_truth += cp.truth;
   result.parse_failures += cp.parse_failures;
   result.crosscheck_mismatches += cp.crosscheck_mismatches;
+}
+
+/// One lab's collector configuration and fault plan.
+struct LabCollection {
+  ddc::CoordinatorConfig collector;
+  faultsim::FaultPlan plan;
+};
+
+/// Derives lab `lab`'s collector and fault plan from the campaign's. Both
+/// draw from the lab's own seed substreams, so a lab's probes and faults do
+/// not depend on how labs are grouped into shards.
+inline LabCollection LabCollectionFor(const ExperimentConfig& config,
+                                      const winsim::LabInfo& info,
+                                      std::size_t lab) {
+  LabCollection out{config.collector, config.fault_plan};
+  out.collector.structured_fast_path = config.structured_fast_path;
+  out.collector.first_machine = info.first;
+  out.collector.machine_count = info.count;
+  out.collector.aligned_schedule = true;
+  out.collector.seed = util::DeriveSeed(config.collector.seed,
+                                        util::seed_stream::kCollector, lab);
+  out.plan.seed = util::DeriveSeed(config.fault_plan.seed,
+                                   util::seed_stream::kFaults, lab);
+  return out;
 }
 
 /// Folds one finished segment writer into the run's encode-side spill
@@ -208,15 +259,14 @@ inline void PublishSpillGauges(const SpillCompressionStats& spill) {
 }
 
 /// Copies fleet-derived summaries (hardware totals, perf index, per-lab
-/// specs) into the result and returns the analysis lab keys.
-inline std::vector<analysis::LabKey> FillFleetSummaries(
-    StreamingExperimentResult& result, const winsim::Fleet& fleet) {
+/// specs) into an ExperimentResult or a StreamingExperimentResult.
+template <typename Result>
+void FillFleetSummaries(Result& result, const winsim::Fleet& fleet) {
   result.hardware = fleet.HardwareTotals();
   result.perf_index.reserve(fleet.size());
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     result.perf_index.push_back(fleet.machine(i).spec().CombinedIndex());
   }
-  std::vector<analysis::LabKey> keys;
   for (const auto& lab : fleet.labs()) {
     const auto& spec = fleet.machine(lab.first).spec();
     LabSummary summary;
@@ -229,27 +279,24 @@ inline std::vector<analysis::LabKey> FillFleetSummaries(
     summary.int_index = spec.int_index;
     summary.fp_index = spec.fp_index;
     result.labs.push_back(std::move(summary));
-    keys.push_back(analysis::LabKey{lab.name, lab.first, lab.count});
   }
-  return keys;
 }
 
-/// Iteration aggregates from result.summary, exactly as Experiment::Run
-/// computes them from the merged trace.
-inline void ComputeIterationAggregates(StreamingExperimentResult& result) {
+/// Iteration aggregates from the merged (campus-wide) iteration records:
+/// an iteration spans the earliest lab start to the latest lab end.
+inline void ComputeIterationAggregates(
+    ddc::RunStats& stats, std::span<const trace::IterationInfo> iterations) {
   double sum_s = 0.0;
-  for (const trace::IterationInfo& it : result.summary.iterations()) {
+  for (const trace::IterationInfo& it : iterations) {
     const double duration = static_cast<double>(it.end_t - it.start_t);
     sum_s += duration;
-    result.run_stats.max_iteration_s =
-        std::max(result.run_stats.max_iteration_s, duration);
+    stats.max_iteration_s = std::max(stats.max_iteration_s, duration);
   }
-  const std::size_t n = result.summary.iterations().size();
-  result.run_stats.iterations = n;
-  result.run_stats.mean_iteration_s =
-      n ? sum_s / static_cast<double>(n) : 0.0;
-  result.run_stats.total_span_s =
-      n ? static_cast<double>(result.summary.iterations().back().end_t) : 0.0;
+  const std::size_t n = iterations.size();
+  stats.iterations = n;
+  stats.mean_iteration_s = n ? sum_s / static_cast<double>(n) : 0.0;
+  stats.total_span_s =
+      n ? static_cast<double>(iterations.back().end_t) : 0.0;
 }
 
 }  // namespace labmon::core::detail

@@ -1,7 +1,7 @@
 // DAG job model for the harvest scheduler.
 //
 // A JobDag is a batch of heterogeneous work items with dependency edges,
-// per-job sizes (in index-seconds, see scheduler.hpp), priorities and
+// per-job sizes (in index-seconds, see dag_scheduler.hpp), priorities and
 // optional deadlines — the taskvine/makeflow-style workload the paper's §6
 // "desktop grid computing" conclusion implies but never runs. Edges point
 // strictly backwards (every dependency id is smaller than the job's own

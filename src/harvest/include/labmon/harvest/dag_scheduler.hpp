@@ -1,11 +1,15 @@
 // DagScheduler — opportunistic execution of job DAGs on the idle fleet.
 //
-// Where DesktopGrid (scheduler.hpp) runs a bag of identical units, the
-// DagScheduler runs a JobDag: heterogeneous jobs with dependency edges,
-// priorities and deadlines, in the style of taskvine/makeflow workers
-// scavenging desktop cycles. It is built on the same substrate — machines
+// The paper's conclusion is that classroom idleness is harvestable "for
+// grid desktop computing" but that volatility "requires survival techniques
+// such as checkpointing, oversubscription and multiple executions" (§6).
+// This scheduler puts a number on that claim: a Condor/BOINC-style
+// scavenger runs a JobDag — heterogeneous jobs with dependency edges,
+// priorities and deadlines, in the style of taskvine/makeflow workers; a
+// bag of tasks is the edge-free case — on the simulated fleet, co-driven by
+// the same behavioural model the monitoring experiment measures. Machines
 // are claimed through the keyboard-idle guard, tasks checkpoint on a timer,
-// evictions cost the progress beyond the last checkpoint — and adds:
+// evictions cost the progress beyond the last checkpoint, and:
 //
 //  * dependency-aware dispatch: a job becomes ready only when every parent
 //    has completed; ready jobs are ordered by priority, then earliest
@@ -14,18 +18,27 @@
 //    the behavioural driver, so interactive logins and power transitions
 //    *between* scheduler steps still evict (and reset the idle guard) —
 //    a pure poller would miss the paper's §5.2.2 invisible short cycles;
+//  * speculative backups (the paper's "multiple executions"): when the
+//    ready queue is empty, idle machines re-execute the running job with
+//    the least secured checkpoint; the first copy to finish wins and
+//    cancels its siblings;
 //  * chaos tolerance: a faultsim::FaultPlan maps onto the harvest layer
 //    (scripted crashes/outages make machines unclaimable and evict their
 //    tasks; stochastic transient errors kill the attempt; hangs stall a
 //    step; stragglers slow one), and evicted/failed jobs are retried from
 //    their checkpoint under bounded exponential backoff;
 //  * exactly-once accounting: each job's work is credited at its first
-//    completion and never again, chaos or not.
+//    completion and never again, chaos and backups or not.
+//
+// Progress is measured in *index-seconds*: one second of exclusive CPU on a
+// machine of NBench combined index 1.0.
 //
 // Retry semantics: the attempt budget (`max_attempts`) is consumed only by
 // injected task failures — an eviction is the environment's fault, so it
 // requeues (with backoff) without spending the budget. A job whose budget
 // is exhausted goes to kFailed and its descendants stay kPending forever.
+// While a job has several copies running, an evicted or failed copy just
+// drops out; only the last running copy requeues the job.
 //
 // Determinism: the scheduler is single-threaded, every queue is a strict
 // total order with the job id as the last tie-break, and all chaos draws
@@ -36,11 +49,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "labmon/faultsim/fault_plan.hpp"
 #include "labmon/harvest/dag.hpp"
-#include "labmon/harvest/scheduler.hpp"
 #include "labmon/obs/registry.hpp"
 #include "labmon/util/time.hpp"
 #include "labmon/winsim/fleet.hpp"
@@ -48,10 +61,33 @@
 
 namespace labmon::harvest {
 
+/// Scavenging policy knobs.
+struct HarvestPolicy {
+  /// Also run on occupied machines (stealing only the idle share), or
+  /// restrict to user-free machines (eviction when somebody logs in).
+  bool use_occupied_machines = false;
+  /// Seconds of task runtime between checkpoints; 0 disables checkpointing
+  /// (an eviction then loses the job's entire accrued progress).
+  double checkpoint_interval_s = 15 * 60;
+  /// Scheduler reaction period (matches real scavengers' polling).
+  util::SimTime scheduler_step_s = 60;
+  /// Machines must have been free for this long before being claimed
+  /// (Condor-style "keyboard idle" guard). 0 claims immediately.
+  util::SimTime claim_delay_s = 5 * 60;
+  /// Speculative backup copies (the paper's "multiple executions"): when
+  /// the ready queue drains, idle machines re-execute the least-progressed
+  /// running jobs from their checkpoints; the first copy to finish wins.
+  bool speculative_backups = false;
+  /// Copies of one job that may run at once, the first one included.
+  int max_copies_per_unit = 2;
+};
+
+/// Renders a policy label for bench tables.
+[[nodiscard]] std::string DescribePolicy(const HarvestPolicy& policy);
+
 /// Policy of a DAG harvesting run. The embedded HarvestPolicy supplies the
 /// substrate knobs (occupied-machine use, checkpoint interval, scheduler
-/// step, claim delay); its speculative-backup fields are ignored here —
-/// dag jobs run one copy at a time.
+/// step, claim delay, speculative backups).
 struct DagPolicy {
   HarvestPolicy grid;
   /// Injected-failure budget per job (evictions do not count against it).
@@ -75,7 +111,7 @@ enum class DagJobState : std::uint8_t {
 struct DagJobRun {
   DagJobState state = DagJobState::kPending;
   util::SimTime completed_at = 0;   ///< absolute sim time; 0 if never
-  std::uint32_t attempts = 0;       ///< dispatches to a machine
+  std::uint32_t attempts = 0;       ///< dispatches, backup copies included
   std::uint32_t evictions = 0;      ///< login + poweroff + chaos evictions
   std::uint32_t chaos_failures = 0; ///< injected failures (consume budget)
   std::uint32_t completions = 0;    ///< exactly-once invariant: always <= 1
@@ -104,6 +140,9 @@ struct DagResult {
   std::uint64_t chaos_task_failures = 0;
   std::uint64_t retries = 0;           ///< requeues (evictions + failures)
   std::uint64_t checkpoints_written = 0;
+  std::uint64_t backup_copies_started = 0;
+  /// Copies stopped because a sibling finished (or failed) first.
+  std::uint64_t backup_copies_cancelled = 0;
   double mean_busy_machines = 0.0;
   /// Fleet-average combined index used in the Fig 6 normalisation.
   double fleet_mean_index = 0.0;
@@ -128,9 +167,11 @@ struct DagResult {
     return gross > 0.0 ? wasted_index_seconds / gross : 0.0;
   }
 
-  /// FNV-1a fingerprint over every per-job record and global counter.
-  /// Bit-identical runs (same dag, seeds, plan) hash identically; a single
-  /// divergent eviction or duplicated credit changes it.
+  /// FNV-1a fingerprint over every per-job record and global counter
+  /// except the backup-copy counters (so hashes recorded before backups
+  /// existed still hold). Bit-identical runs (same dag, seeds, plan) hash
+  /// identically; a single divergent eviction or duplicated credit
+  /// changes it.
   [[nodiscard]] std::uint64_t ResultHash() const noexcept;
 };
 
@@ -166,6 +207,7 @@ class DagScheduler final : public workload::MachineObserver {
     bool has_task = false;
     std::size_t job = 0;
     double progress = 0.0;          ///< index-seconds done on this attempt
+    double started_from = 0.0;      ///< checkpoint this attempt resumed from
     double runtime_since_cp = 0.0;  ///< task wall seconds since checkpoint
     util::SimTime free_since = 0;   ///< when the machine became eligible
     bool was_eligible = false;

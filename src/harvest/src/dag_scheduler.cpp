@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "labmon/obs/harvest_metrics.hpp"
+#include "labmon/util/strings.hpp"
 
 namespace labmon::harvest {
 namespace {
@@ -72,6 +73,18 @@ std::uint64_t DagResult::ResultHash() const noexcept {
     HashU64(j.deadline_met ? 1 : 0, &h);
   }
   return h;
+}
+
+std::string DescribePolicy(const HarvestPolicy& policy) {
+  std::string out = policy.use_occupied_machines ? "free+occupied" : "free-only";
+  if (policy.checkpoint_interval_s <= 0.0) {
+    out += ", no ckpt";
+  } else {
+    out += ", ckpt " +
+           util::FormatFixed(policy.checkpoint_interval_s / 60.0, 0) + " min";
+  }
+  if (policy.speculative_backups) out += ", backups";
+  return out;
 }
 
 DagScheduler::DagScheduler(winsim::Fleet& fleet,
@@ -196,6 +209,53 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
   double elapsed_s = 0.0;
   std::uint64_t terminal = 0;  // completed + failed
 
+  // Running copies per job, kept only when backups can start: without
+  // them a job runs on at most one slot.
+  const bool backups = policy_.grid.speculative_backups;
+  const auto max_copies = static_cast<std::uint32_t>(
+      std::max(1, policy_.grid.max_copies_per_unit));
+  std::vector<std::uint32_t> copies(backups ? n : 0, 0);
+
+  // Frees a slot's attempt; true when it was its job's last running copy.
+  const auto release = [&](Slot& slot) {
+    slot.has_task = false;
+    slot.progress = 0.0;
+    slot.runtime_since_cp = 0.0;
+    return copies.empty() || --copies[slot.job] == 0;
+  };
+
+  // Stops the other running copies of a job that just completed or
+  // failed. Behind a completion they duplicated the winner's work from
+  // their resume point on; behind a failure they lose what lies beyond
+  // the job's checkpoint, as an eviction would.
+  const auto cancel_siblings = [&](std::size_t job, bool completed) {
+    if (copies.empty() || copies[job] == 0) return;
+    for (Slot& other : slots_) {
+      if (!other.has_task || other.job != job) continue;
+      const double from =
+          completed ? other.started_from : jobs[job].checkpoint;
+      result.wasted_index_seconds += std::max(0.0, other.progress - from);
+      ++result.backup_copies_cancelled;
+      release(other);
+    }
+  };
+
+  // Backup victim: the running job with the least secured checkpoint and
+  // fewer than max_copies copies, lowest id on ties (n when none). Scans
+  // the slots, so its cost is bounded by the fleet, not the dag.
+  const auto pick_backup = [&]() {
+    std::size_t best = n;
+    for (const Slot& other : slots_) {
+      if (!other.has_task || copies[other.job] >= max_copies) continue;
+      const std::size_t job = other.job;
+      if (best == n || jobs[job].checkpoint < jobs[best].checkpoint ||
+          (jobs[job].checkpoint == jobs[best].checkpoint && job < best)) {
+        best = job;
+      }
+    }
+    return best;
+  };
+
   // Requeues an interrupted/failed job under bounded exponential backoff.
   const auto requeue = [&](std::size_t job, util::SimTime t) {
     JobState& js = jobs[job];
@@ -283,15 +343,13 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
         }
 
         if (evicted) {
-          // Progress beyond the job's checkpoint is lost; the job cools
-          // down and retries. Evictions never consume the failure budget.
+          // Progress beyond the job's checkpoint is lost; unless another
+          // copy still runs, the job cools down and retries. Evictions
+          // never consume the failure budget.
           result.wasted_index_seconds +=
               std::max(0.0, slot.progress - js.checkpoint);
           ++result.jobs[job].evictions;
-          requeue(job, t);
-          slot.has_task = false;
-          slot.progress = 0.0;
-          slot.runtime_since_cp = 0.0;
+          if (release(slot)) requeue(job, t);
         } else {
           // Stochastic chaos, drawn in a fixed per-task protocol.
           bool failed = false;
@@ -313,6 +371,7 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
                 std::max(0.0, slot.progress - js.checkpoint);
             ++result.chaos_task_failures;
             ++result.jobs[job].chaos_failures;
+            const bool last_copy = release(slot);
             if (result.jobs[job].chaos_failures >=
                 static_cast<std::uint32_t>(std::max(1, policy_.max_attempts))) {
               // Budget exhausted: terminal failure. The checkpointed work
@@ -321,12 +380,10 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
               ++result.jobs_failed;
               ++terminal;
               if (instruments.enabled()) instruments.jobs_failed->Increment();
-            } else {
+              cancel_siblings(job, /*completed=*/false);
+            } else if (last_copy) {
               requeue(job, t);
             }
-            slot.has_task = false;
-            slot.progress = 0.0;
-            slot.runtime_since_cp = 0.0;
           } else {
             busy_machine_seconds += step_s;
             if (!hung) {
@@ -344,10 +401,10 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
               if (instruments.enabled()) instruments.checkpoints->Increment();
             }
             if (slot.progress >= dag.jobs[job].index_seconds) {
+              // First copy to finish wins; its siblings stop at once.
               complete(job, t + step);
-              slot.has_task = false;
-              slot.progress = 0.0;
-              slot.runtime_since_cp = 0.0;
+              release(slot);
+              cancel_siblings(job, /*completed=*/true);
               if (result.jobs_completed == n) {
                 result.dag_finished = true;
                 result.makespan_s = static_cast<double>(t + step - start);
@@ -364,16 +421,26 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
             slot.power_blip || !slot.was_eligible ||
             (!policy_.grid.use_occupied_machines && slot.login_blip);
         if (guard_reset) slot.free_since = t;
-        if (t - slot.free_since >= policy_.grid.claim_delay_s &&
-            !ready.empty()) {
-          const std::size_t job = ready.top();
-          ready.pop();
-          slot.has_task = true;
-          slot.job = job;
-          slot.progress = jobs[job].checkpoint;
-          slot.runtime_since_cp = 0.0;
-          result.jobs[job].state = DagJobState::kRunning;
-          ++result.jobs[job].attempts;
+        if (t - slot.free_since >= policy_.grid.claim_delay_s) {
+          // Backups start only once nothing is waiting to run.
+          std::size_t job = n;
+          if (!ready.empty()) {
+            job = ready.top();
+            ready.pop();
+          } else if (backups) {
+            job = pick_backup();
+            if (job < n) ++result.backup_copies_started;
+          }
+          if (job < n) {
+            slot.has_task = true;
+            slot.job = job;
+            slot.progress = jobs[job].checkpoint;
+            slot.started_from = slot.progress;
+            slot.runtime_since_cp = 0.0;
+            result.jobs[job].state = DagJobState::kRunning;
+            ++result.jobs[job].attempts;
+            if (backups) ++copies[job];
+          }
         }
       }
       slot.was_eligible = eligible;
@@ -387,9 +454,10 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
   driver_.SetObserver(nullptr);
 
   // Surviving progress of live jobs still counts as useful (resumable);
-  // the checkpointed progress of terminally failed jobs does not. A job
-  // runs on at most one slot, so folding each live attempt into its job's
-  // checkpoint leaves every job's best progress there; the sums then run
+  // the checkpointed progress of terminally failed jobs does not. Folding
+  // each live copy into its job's checkpoint with a max leaves every job's
+  // best progress there, however many copies it runs (the other copies'
+  // progress is duplicate, neither useful nor charged); the sums then run
   // in job-id order.
   for (const Slot& slot : slots_) {
     if (slot.has_task) {

@@ -470,34 +470,56 @@ std::string ReportJson(const Report& report) {
 
 namespace {
 
-inline void* ProfAlloc(std::size_t size) {
-  void* p = std::malloc(size != 0 ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
+// The nothrow forms return nullptr on failure; the throwing forms wrap
+// them. Every form must be replaced: a form left to the runtime (or to a
+// sanitizer) allocates with an allocator our delete does not pair with.
+inline void* ProfTryAlloc(std::size_t size, std::size_t align) noexcept {
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(size != 0 ? size : 1);
+  } else if (posix_memalign(&p, std::max(align, sizeof(void*)),
+                            size != 0 ? size : 1) != 0) {
+    p = nullptr;
+  }
+  if (p == nullptr) return nullptr;
   labmon::obs::prof::t_alloc_bytes += size;
   ++labmon::obs::prof::t_alloc_count;
   return p;
 }
 
-inline void* ProfAllocAligned(std::size_t size, std::size_t align) {
-  void* p = nullptr;
-  if (posix_memalign(&p, std::max(align, sizeof(void*)),
-                     size != 0 ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  labmon::obs::prof::t_alloc_bytes += size;
-  ++labmon::obs::prof::t_alloc_count;
+inline void* ProfAlloc(std::size_t size, std::size_t align) {
+  void* p = ProfTryAlloc(size, align);
+  if (p == nullptr) throw std::bad_alloc();
   return p;
 }
+
+constexpr std::size_t kDefaultAlign = alignof(std::max_align_t);
 
 }  // namespace
 
-void* operator new(std::size_t size) { return ProfAlloc(size); }
-void* operator new[](std::size_t size) { return ProfAlloc(size); }
+void* operator new(std::size_t size) { return ProfAlloc(size, kDefaultAlign); }
+void* operator new[](std::size_t size) {
+  return ProfAlloc(size, kDefaultAlign);
+}
 void* operator new(std::size_t size, std::align_val_t align) {
-  return ProfAllocAligned(size, static_cast<std::size_t>(align));
+  return ProfAlloc(size, static_cast<std::size_t>(align));
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
-  return ProfAllocAligned(size, static_cast<std::size_t>(align));
+  return ProfAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return ProfTryAlloc(size, kDefaultAlign);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ProfTryAlloc(size, kDefaultAlign);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return ProfTryAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return ProfTryAlloc(size, static_cast<std::size_t>(align));
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -510,5 +532,16 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }

@@ -229,24 +229,34 @@ void CheckInvariants(const JobDag& dag, const DagResult& result,
 }
 
 TEST(DagSchedulerPropertyTest, RandomDagsUpholdInvariants) {
-  for (std::uint64_t seed : {1ull, 17ull, 404ull}) {
-    for (JobMixKind kind : {JobMixKind::kChain, JobMixKind::kRandomLayered,
-                            JobMixKind::kMixed}) {
-      JobMixOptions o;
-      o.kind = kind;
-      o.jobs = 60;
-      o.mean_index_hours = 4.0;
-      o.seed = seed;
-      const JobDag dag = MakeJobMix(o);
-      DagFixture f(3, seed);
-      DagPolicy policy;
-      const DagResult result = RunMix(f, dag, policy);
-      SCOPED_TRACE(std::string(JobMixName(kind)) + " seed " +
-                   std::to_string(seed));
-      CheckInvariants(dag, result, f.campus.EndTime());
-      EXPECT_GT(result.jobs_completed, 0u);
+  // Speculative backups run several copies of one job at once; the first
+  // to finish must still be the only completion, in topological order.
+  std::uint64_t backups_started = 0;
+  for (bool backups : {false, true}) {
+    for (std::uint64_t seed : {1ull, 17ull, 404ull}) {
+      for (JobMixKind kind : {JobMixKind::kChain, JobMixKind::kRandomLayered,
+                              JobMixKind::kMixed}) {
+        JobMixOptions o;
+        o.kind = kind;
+        o.jobs = 60;
+        o.mean_index_hours = 4.0;
+        o.seed = seed;
+        const JobDag dag = MakeJobMix(o);
+        DagFixture f(3, seed);
+        DagPolicy policy;
+        policy.grid.speculative_backups = backups;
+        const DagResult result = RunMix(f, dag, policy);
+        SCOPED_TRACE(std::string(JobMixName(kind)) + " seed " +
+                     std::to_string(seed) + (backups ? " backups" : ""));
+        CheckInvariants(dag, result, f.campus.EndTime());
+        EXPECT_GT(result.jobs_completed, 0u);
+        EXPECT_LE(result.backup_copies_cancelled,
+                  result.backup_copies_started);
+        backups_started += result.backup_copies_started;
+      }
     }
   }
+  EXPECT_GT(backups_started, 0u);
 }
 
 TEST(DagSchedulerPropertyTest, RerunsHashIdentically) {

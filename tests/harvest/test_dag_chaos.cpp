@@ -177,33 +177,40 @@ TEST(DagChaosTest, EvictionsNeverConsumeTheRetryBudget) {
 
 TEST(DagChaosTest, ExhaustedBudgetStrandsOnlyDescendants) {
   // Brutal failure rate + tiny budget: failures must be recorded and
-  // stranded children must stay pending with zero attempts.
-  faultsim::FaultPlan plan;
-  plan.enabled = true;
-  plan.seed = ChaosSeed();
-  plan.stochastic.transient_error_prob = 30.0;  // per task-hour: ~constant
-  DagPolicy policy;
-  policy.max_attempts = 2;
-  CampusFixture f(2, 37);
-  JobMixOptions o;
-  o.kind = JobMixKind::kChain;
-  o.jobs = 60;
-  o.seed = 37;
-  const JobDag dag = MakeJobMix(o);
-  DagScheduler scheduler(*f.fleet, *f.driver, policy);
-  scheduler.SetFaultPlan(plan);
-  const DagResult result = scheduler.Run(dag, 0, f.campus.EndTime());
-  EXPECT_GT(result.jobs_failed, 0u);
-  for (std::size_t i = 0; i < dag.jobs.size(); ++i) {
-    const DagJobRun& run = result.jobs[i];
-    if (run.state != DagJobState::kFailed) continue;
-    EXPECT_EQ(run.chaos_failures, 2u) << "job " << i;
-    // Direct children of a failed job never started.
-    for (std::size_t c = i + 1; c < dag.jobs.size(); ++c) {
-      for (std::uint32_t d : dag.jobs[c].deps) {
-        if (d == i) {
-          EXPECT_EQ(result.jobs[c].state, DagJobState::kPending);
-          EXPECT_EQ(result.jobs[c].attempts, 0u);
+  // stranded children must stay pending with zero attempts. With
+  // speculative backups, the failure that exhausts the budget also stops
+  // the job's other copies, so no copy fails it a third time.
+  for (bool backups : {false, true}) {
+    SCOPED_TRACE(backups ? "backups" : "no backups");
+    faultsim::FaultPlan plan;
+    plan.enabled = true;
+    plan.seed = ChaosSeed();
+    plan.stochastic.transient_error_prob = 30.0;  // per task-hour: ~constant
+    DagPolicy policy;
+    policy.max_attempts = 2;
+    policy.grid.speculative_backups = backups;
+    CampusFixture f(2, 37);
+    JobMixOptions o;
+    o.kind = JobMixKind::kChain;
+    o.jobs = 60;
+    o.seed = 37;
+    const JobDag dag = MakeJobMix(o);
+    DagScheduler scheduler(*f.fleet, *f.driver, policy);
+    scheduler.SetFaultPlan(plan);
+    const DagResult result = scheduler.Run(dag, 0, f.campus.EndTime());
+    EXPECT_GT(result.jobs_failed, 0u);
+    EXPECT_EQ(result.backup_copies_started > 0, backups);
+    for (std::size_t i = 0; i < dag.jobs.size(); ++i) {
+      const DagJobRun& run = result.jobs[i];
+      if (run.state != DagJobState::kFailed) continue;
+      EXPECT_EQ(run.chaos_failures, 2u) << "job " << i;
+      // Direct children of a failed job never started.
+      for (std::size_t c = i + 1; c < dag.jobs.size(); ++c) {
+        for (std::uint32_t d : dag.jobs[c].deps) {
+          if (d == i) {
+            EXPECT_EQ(result.jobs[c].state, DagJobState::kPending);
+            EXPECT_EQ(result.jobs[c].attempts, 0u);
+          }
         }
       }
     }

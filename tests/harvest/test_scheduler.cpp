@@ -1,6 +1,11 @@
-#include "labmon/harvest/scheduler.hpp"
+// Bag-of-tasks suite for the DagScheduler: the survival techniques of the
+// paper's §6 (checkpointing, claim delays, speculative backup copies) on an
+// edge-free dag of identical jobs, plus the DescribePolicy labels.
+#include "labmon/harvest/dag_scheduler.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -21,158 +26,6 @@ struct GridFixture {
   std::unique_ptr<winsim::Fleet> fleet;
   std::unique_ptr<workload::WorkloadDriver> driver;
 };
-
-HarvestResult RunBatch(GridFixture& f, const HarvestPolicy& policy,
-                       std::uint64_t units, double unit_hours) {
-  DesktopGrid grid(*f.fleet, *f.driver, policy);
-  JobBatch batch;
-  batch.unit_count = units;
-  batch.unit_index_seconds = unit_hours * 3600.0;
-  return grid.Run(batch, 0, f.campus.EndTime());
-}
-
-TEST(DesktopGridTest, SmallBatchCompletes) {
-  GridFixture f;
-  HarvestPolicy policy;
-  const auto result = RunBatch(f, policy, 20, 5.0);
-  EXPECT_TRUE(result.batch_finished);
-  EXPECT_EQ(result.units_completed, 20u);
-  EXPECT_GT(result.makespan_s, 0.0);
-  EXPECT_LT(result.makespan_s, f.campus.EndTime());
-  EXPECT_GE(result.useful_index_seconds, 20 * 5.0 * 3600.0 - 1e-6);
-}
-
-TEST(DesktopGridTest, AccountingInvariants) {
-  GridFixture f;
-  HarvestPolicy policy;
-  policy.checkpoint_interval_s = 600;
-  const auto result = RunBatch(f, policy, 400, 20.0);
-  EXPECT_LE(result.units_completed, result.units_total);
-  EXPECT_GE(result.wasted_index_seconds, 0.0);
-  EXPECT_GE(result.useful_index_seconds,
-            static_cast<double>(result.units_completed) * 20.0 * 3600.0 -
-                1e-6);
-  EXPECT_GE(result.mean_busy_machines, 0.0);
-  EXPECT_LE(result.mean_busy_machines, 169.0);
-  EXPECT_GE(result.WasteFraction(), 0.0);
-  EXPECT_LE(result.WasteFraction(), 1.0);
-}
-
-TEST(DesktopGridTest, DeterministicForSeed) {
-  HarvestPolicy policy;
-  GridFixture a(2, 9);
-  GridFixture b(2, 9);
-  const auto ra = RunBatch(a, policy, 100, 10.0);
-  const auto rb = RunBatch(b, policy, 100, 10.0);
-  EXPECT_EQ(ra.units_completed, rb.units_completed);
-  EXPECT_DOUBLE_EQ(ra.useful_index_seconds, rb.useful_index_seconds);
-  EXPECT_EQ(ra.evictions_poweroff, rb.evictions_poweroff);
-}
-
-TEST(DesktopGridTest, CheckpointingReducesWaste) {
-  // Same behaviour (same seed), different checkpoint intervals: waste must
-  // not increase as checkpoints get denser.
-  const auto waste_at = [&](double interval_s) {
-    GridFixture f(3, 13);
-    HarvestPolicy policy;
-    policy.checkpoint_interval_s = interval_s;
-    return RunBatch(f, policy, 2000, 15.0).wasted_index_seconds;
-  };
-  const double none = waste_at(0.0);
-  const double hourly = waste_at(3600.0);
-  const double frequent = waste_at(300.0);
-  EXPECT_GT(none, hourly);
-  EXPECT_GT(hourly, frequent);
-}
-
-TEST(DesktopGridTest, CheckpointsAreWritten) {
-  GridFixture f;
-  HarvestPolicy policy;
-  policy.checkpoint_interval_s = 300;
-  const auto with_ckpt = RunBatch(f, policy, 200, 15.0);
-  EXPECT_GT(with_ckpt.checkpoints_written, 0u);
-  GridFixture g;
-  policy.checkpoint_interval_s = 0.0;
-  const auto without = RunBatch(g, policy, 200, 15.0);
-  EXPECT_EQ(without.checkpoints_written, 0u);
-}
-
-TEST(DesktopGridTest, EvictionsHappenOnBusyCampus) {
-  GridFixture f(3);
-  HarvestPolicy policy;
-  policy.claim_delay_s = 0;  // aggressive claiming maximises collisions
-  const auto result = RunBatch(f, policy, 3000, 20.0);
-  EXPECT_GT(result.evictions_login + result.evictions_poweroff, 0u);
-}
-
-TEST(DesktopGridTest, OccupiedModeDeliversMoreThroughput) {
-  const auto effective = [&](bool occupied) {
-    GridFixture f(3, 21);
-    HarvestPolicy policy;
-    policy.use_occupied_machines = occupied;
-    // Oversized batch: neither finishes, so throughput is comparable.
-    return RunBatch(f, policy, 100000, 20.0).effective_dedicated_machines;
-  };
-  const double free_only = effective(false);
-  const double with_occupied = effective(true);
-  EXPECT_GT(with_occupied, free_only);
-  // Both bounded by the fleet's Figure-6 upper limit (~0.55 x 169).
-  EXPECT_LT(with_occupied, 110.0);
-  EXPECT_GT(free_only, 5.0);
-}
-
-TEST(DesktopGridTest, ClaimDelayReducesLoginEvictions) {
-  const auto login_evictions = [&](util::SimTime delay) {
-    GridFixture f(2, 31);
-    HarvestPolicy policy;
-    policy.claim_delay_s = delay;
-    return RunBatch(f, policy, 100000, 20.0).evictions_login;
-  };
-  // A keyboard-idle guard must not make things worse.
-  EXPECT_LE(login_evictions(30 * 60), login_evictions(0));
-}
-
-TEST(DesktopGridTest, EmptyBatchFinishesImmediately) {
-  GridFixture f(1);
-  HarvestPolicy policy;
-  const auto result = RunBatch(f, policy, 0, 10.0);
-  EXPECT_EQ(result.units_completed, 0u);
-  EXPECT_EQ(result.units_total, 0u);
-  EXPECT_FALSE(result.batch_finished);  // nothing to finish
-  EXPECT_DOUBLE_EQ(result.useful_index_seconds, 0.0);
-}
-
-TEST(DesktopGridTest, SpeculativeBackupsImproveTailLatency) {
-  // A batch sized so the tail is dominated by stragglers on slow or
-  // evicted machines: backups must not lengthen the makespan, and should
-  // start at least one copy.
-  const auto run = [&](bool backups) {
-    GridFixture f(3, 41);
-    HarvestPolicy policy;
-    policy.speculative_backups = backups;
-    policy.checkpoint_interval_s = 900;
-    return RunBatch(f, policy, 900, 25.0);
-  };
-  const auto without = run(false);
-  const auto with = run(true);
-  ASSERT_TRUE(without.batch_finished);
-  ASSERT_TRUE(with.batch_finished);
-  EXPECT_GT(with.backup_copies_started, 0u);
-  EXPECT_LE(with.makespan_s, without.makespan_s);
-  EXPECT_EQ(without.backup_copies_started, 0u);
-}
-
-TEST(DesktopGridTest, BackupsNeverExceedCopyLimit) {
-  GridFixture f(2, 43);
-  HarvestPolicy policy;
-  policy.speculative_backups = true;
-  policy.max_copies_per_unit = 2;
-  const auto result = RunBatch(f, policy, 50, 10.0);
-  EXPECT_TRUE(result.batch_finished);
-  // Cancellations can never exceed starts.
-  EXPECT_LE(result.backup_copies_cancelled,
-            result.backup_copies_started + result.units_total);
-}
 
 // A campus with no classes, no walk-ins, no sweeps and no short cycles:
 // once booted, machines stay on and session-free for the whole horizon.
@@ -206,131 +59,207 @@ struct QuietFixture {
   std::unique_ptr<workload::WorkloadDriver> driver;
 };
 
-TEST(DesktopGridTest, ZeroLengthHorizonIsANoOp) {
-  GridFixture f(1);
-  HarvestPolicy policy;
-  DesktopGrid grid(*f.fleet, *f.driver, policy);
-  JobBatch batch;
-  batch.unit_count = 10;
-  batch.unit_index_seconds = 3600.0;
-  const auto result = grid.Run(batch, 0, 0);
-  EXPECT_EQ(result.units_completed, 0u);
-  EXPECT_FALSE(result.batch_finished);
-  EXPECT_DOUBLE_EQ(result.makespan_s, 0.0);
-  EXPECT_DOUBLE_EQ(result.useful_index_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(result.wasted_index_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(result.effective_dedicated_machines, 0.0);
-  EXPECT_EQ(result.evictions_login + result.evictions_poweroff, 0u);
+JobDag UniformBag(std::size_t jobs, double job_hours) {
+  DagJob job;
+  job.index_seconds = job_hours * 3600.0;
+  JobDag bag;
+  bag.jobs.assign(jobs, job);
+  return bag;
 }
 
-TEST(DesktopGridTest, OccupiedModeParityOnSessionFreeFleet) {
+template <typename Fixture>
+DagResult RunBag(Fixture& f, const HarvestPolicy& policy, std::size_t jobs,
+                 double job_hours) {
+  DagScheduler scheduler(*f.fleet, *f.driver, DagPolicy{.grid = policy});
+  return scheduler.Run(UniformBag(jobs, job_hours), 0, f.campus.EndTime());
+}
+
+TEST(BagSchedulingTest, SmallBagCompletes) {
+  GridFixture f;
+  const auto result = RunBag(f, HarvestPolicy{}, 20, 5.0);
+  EXPECT_TRUE(result.dag_finished);
+  EXPECT_EQ(result.jobs_completed, 20u);
+  EXPECT_GT(result.makespan_s, 0.0);
+  EXPECT_LT(result.makespan_s, f.campus.EndTime());
+  EXPECT_DOUBLE_EQ(result.useful_index_seconds, 20 * 5.0 * 3600.0);
+}
+
+TEST(BagSchedulingTest, AccountingInvariants) {
+  GridFixture f;
+  HarvestPolicy policy;
+  policy.checkpoint_interval_s = 600;
+  const auto result = RunBag(f, policy, 400, 20.0);
+  EXPECT_LE(result.jobs_completed, result.jobs_total);
+  EXPECT_GE(result.wasted_index_seconds, 0.0);
+  EXPECT_GE(result.useful_index_seconds,
+            static_cast<double>(result.jobs_completed) * 20.0 * 3600.0 -
+                1e-6);
+  EXPECT_GE(result.mean_busy_machines, 0.0);
+  EXPECT_LE(result.mean_busy_machines, 169.0);
+  EXPECT_GE(result.WasteFraction(), 0.0);
+  EXPECT_LE(result.WasteFraction(), 1.0);
+}
+
+TEST(BagSchedulingTest, RerunsAreBitIdenticalAtFixedSeed) {
+  const auto run = [&] {
+    GridFixture f(2, 1234);
+    HarvestPolicy policy;
+    policy.checkpoint_interval_s = 600;
+    return RunBag(f, policy, 800, 12.0);
+  };
+  const auto a = run();
+  const auto b = run();
+  EXPECT_EQ(a.ResultHash(), b.ResultHash());
+  EXPECT_EQ(a.mean_busy_machines, b.mean_busy_machines);
+  EXPECT_EQ(a.effective_dedicated_machines, b.effective_dedicated_machines);
+}
+
+TEST(BagSchedulingTest, CheckpointingReducesWaste) {
+  // Same behaviour (same seed), different checkpoint intervals: waste must
+  // not increase as checkpoints get denser.
+  const auto waste_at = [&](double interval_s) {
+    GridFixture f(3, 13);
+    HarvestPolicy policy;
+    policy.checkpoint_interval_s = interval_s;
+    return RunBag(f, policy, 2000, 15.0).wasted_index_seconds;
+  };
+  const double none = waste_at(0.0);
+  const double hourly = waste_at(3600.0);
+  const double frequent = waste_at(300.0);
+  EXPECT_GT(none, hourly);
+  EXPECT_GT(hourly, frequent);
+}
+
+TEST(BagSchedulingTest, CheckpointLossBoundsWasteFraction) {
+  // Without checkpoints every eviction loses the attempt's whole progress,
+  // so waste can only grow relative to a checkpointed run — but the
+  // fraction stays a fraction in both, and only the checkpointed run
+  // writes checkpoints.
+  const auto run = [&](double ckpt_s) {
+    GridFixture f(3, 13);
+    HarvestPolicy policy;
+    policy.checkpoint_interval_s = ckpt_s;
+    policy.claim_delay_s = 0;  // aggressive claiming maximises collisions
+    return RunBag(f, policy, 3000, 20.0);
+  };
+  const auto none = run(0.0);
+  const auto frequent = run(300.0);
+  EXPECT_GT(none.evictions_login + none.evictions_poweroff, 0u);
+  EXPECT_GE(none.WasteFraction(), frequent.WasteFraction());
+  EXPECT_GE(frequent.WasteFraction(), 0.0);
+  EXPECT_LE(none.WasteFraction(), 1.0);
+  EXPECT_EQ(none.checkpoints_written, 0u);
+  EXPECT_GT(frequent.checkpoints_written, 0u);
+}
+
+TEST(BagSchedulingTest, OccupiedModeDeliversMoreThroughput) {
+  const auto effective = [&](bool occupied) {
+    GridFixture f(3, 21);
+    HarvestPolicy policy;
+    policy.use_occupied_machines = occupied;
+    // Oversized bag: neither finishes, so throughput is comparable.
+    return RunBag(f, policy, 100000, 20.0).effective_dedicated_machines;
+  };
+  const double free_only = effective(false);
+  const double with_occupied = effective(true);
+  EXPECT_GT(with_occupied, free_only);
+  // Both bounded by the fleet's Figure-6 upper limit (~0.55 x 169).
+  EXPECT_LT(with_occupied, 110.0);
+  EXPECT_GT(free_only, 5.0);
+}
+
+TEST(BagSchedulingTest, ClaimDelayReducesLoginEvictions) {
+  const auto login_evictions = [&](util::SimTime delay) {
+    GridFixture f(2, 31);
+    HarvestPolicy policy;
+    policy.claim_delay_s = delay;
+    return RunBag(f, policy, 100000, 20.0).evictions_login;
+  };
+  // A keyboard-idle guard must not make things worse.
+  EXPECT_LE(login_evictions(30 * 60), login_evictions(0));
+}
+
+TEST(BagSchedulingTest, OccupiedModeParityOnSessionFreeFleet) {
   // On an always-on fleet with no interactive sessions the occupied-machine
   // knob must not change a single number: eligibility is identical.
   const auto run = [&](bool occupied) {
     QuietFixture f(1, 77);
     HarvestPolicy policy;
     policy.use_occupied_machines = occupied;
-    DesktopGrid grid(*f.fleet, *f.driver, policy);
-    JobBatch batch;
-    batch.unit_count = 500;
-    batch.unit_index_seconds = 10.0 * 3600.0;
-    return grid.Run(batch, 0, f.campus.EndTime());
+    return RunBag(f, policy, 500, 10.0);
   };
   const auto free_only = run(false);
   const auto occupied = run(true);
-  EXPECT_EQ(free_only.units_completed, occupied.units_completed);
-  EXPECT_EQ(free_only.useful_index_seconds, occupied.useful_index_seconds);
-  EXPECT_EQ(free_only.wasted_index_seconds, occupied.wasted_index_seconds);
-  EXPECT_EQ(free_only.makespan_s, occupied.makespan_s);
-  EXPECT_EQ(free_only.evictions_login, occupied.evictions_login);
-  EXPECT_EQ(free_only.evictions_poweroff, occupied.evictions_poweroff);
+  EXPECT_EQ(free_only.ResultHash(), occupied.ResultHash());
   EXPECT_EQ(free_only.effective_dedicated_machines,
             occupied.effective_dedicated_machines);
 }
 
-TEST(DesktopGridTest, QuietFleetHasNoEvictionsAndNoWaste) {
+TEST(BagSchedulingTest, QuietFleetHasNoEvictionsAndNoWaste) {
   QuietFixture f(1, 3);
-  HarvestPolicy policy;
-  DesktopGrid grid(*f.fleet, *f.driver, policy);
-  JobBatch batch;
-  batch.unit_count = 100;
-  batch.unit_index_seconds = 5.0 * 3600.0;
-  const auto result = grid.Run(batch, 0, f.campus.EndTime());
-  EXPECT_TRUE(result.batch_finished);
+  const auto result = RunBag(f, HarvestPolicy{}, 100, 5.0);
+  EXPECT_TRUE(result.dag_finished);
   EXPECT_EQ(result.evictions_login, 0u);
   EXPECT_EQ(result.evictions_poweroff, 0u);
   EXPECT_DOUBLE_EQ(result.wasted_index_seconds, 0.0);
   EXPECT_DOUBLE_EQ(result.WasteFraction(), 0.0);
 }
 
-TEST(DesktopGridTest, FirstCopyWinsCreditsWorkExactlyOnce) {
-  // With speculative backups on, duplicated copies must surface as waste,
-  // never as double credit: a finished batch's useful work equals the
-  // batch total exactly.
-  GridFixture f(3, 41);
+// ------------------------------------------------------ speculative backups
+
+HarvestPolicy BackupPolicy(bool backups) {
   HarvestPolicy policy;
-  policy.speculative_backups = true;
+  policy.speculative_backups = backups;
   policy.checkpoint_interval_s = 900;
-  DesktopGrid grid(*f.fleet, *f.driver, policy);
-  JobBatch batch;
-  batch.unit_count = 900;
-  batch.unit_index_seconds = 25.0 * 3600.0;
-  const auto result = grid.Run(batch, 0, f.campus.EndTime());
-  ASSERT_TRUE(result.batch_finished);
-  EXPECT_DOUBLE_EQ(result.useful_index_seconds, batch.TotalIndexSeconds());
-  // Duplicated progress of cancelled copies showed up as waste instead.
-  EXPECT_GE(result.wasted_index_seconds, 0.0);
+  return policy;
 }
 
-TEST(DesktopGridTest, CheckpointLossBoundsWasteFraction) {
-  // Without checkpoints every eviction loses the copy's whole progress, so
-  // waste can only grow relative to a checkpointed run — but the fraction
-  // stays a fraction in both.
-  const auto run = [&](double ckpt_s) {
-    GridFixture f(3, 13);
-    HarvestPolicy policy;
-    policy.checkpoint_interval_s = ckpt_s;
-    policy.claim_delay_s = 0;
-    return RunBatch(f, policy, 3000, 20.0);
+TEST(BagSchedulingTest, SpeculativeBackupsShortenTheTailAndCreditOnce) {
+  // A bag sized so the tail is dominated by stragglers on slow or evicted
+  // machines: backups must not lengthen the makespan, and duplicated
+  // copies must surface as waste, never as double credit — a finished
+  // bag's useful work equals the bag total exactly. ResultHash covers
+  // every job's attempts (backup dispatches included), completion time
+  // and the waste total, so the pinned constant catches any change to
+  // victim choice, sibling cancellation or its waste charge.
+  const auto run = [&](bool backups) {
+    GridFixture f(3, 41);
+    return RunBag(f, BackupPolicy(backups), 900, 25.0);
   };
-  const auto none = run(0.0);
-  const auto frequent = run(300.0);
-  EXPECT_GE(none.WasteFraction(), frequent.WasteFraction());
-  EXPECT_GE(none.WasteFraction(), 0.0);
-  EXPECT_LE(none.WasteFraction(), 1.0);
-  EXPECT_GE(frequent.WasteFraction(), 0.0);
-  EXPECT_LE(frequent.WasteFraction(), 1.0);
-  EXPECT_EQ(none.checkpoints_written, 0u);
-  EXPECT_GT(frequent.checkpoints_written, 0u);
+  const auto without = run(false);
+  const auto with = run(true);
+  ASSERT_TRUE(without.dag_finished);
+  ASSERT_TRUE(with.dag_finished);
+  EXPECT_EQ(without.backup_copies_started, 0u);
+  EXPECT_LE(with.makespan_s, without.makespan_s);
+  EXPECT_EQ(with.useful_index_seconds, 900 * 25.0 * 3600.0);
+  for (const DagJobRun& job : with.jobs) EXPECT_EQ(job.completions, 1u);
+  EXPECT_EQ(with.ResultHash(), 0xb10418ed782c8906ULL);
+  EXPECT_EQ(with.backup_copies_started, 40u);
+  EXPECT_EQ(with.backup_copies_cancelled, 40u);
 }
 
-TEST(DesktopGridTest, RerunsAreBitIdenticalAtFixedSeed) {
-  const auto run = [&] {
-    GridFixture f(2, 1234);
-    HarvestPolicy policy;
-    policy.checkpoint_interval_s = 600;
-    return RunBatch(f, policy, 800, 12.0);
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a.units_completed, b.units_completed);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.useful_index_seconds, b.useful_index_seconds);
-  EXPECT_EQ(a.wasted_index_seconds, b.wasted_index_seconds);
-  EXPECT_EQ(a.evictions_login, b.evictions_login);
-  EXPECT_EQ(a.evictions_poweroff, b.evictions_poweroff);
-  EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
-  EXPECT_EQ(a.mean_busy_machines, b.mean_busy_machines);
-  EXPECT_EQ(a.fleet_mean_index, b.fleet_mean_index);
-  EXPECT_EQ(a.effective_dedicated_machines, b.effective_dedicated_machines);
-}
-
-TEST(DesktopGridTest, FleetMeanIndexIsRecorded) {
-  GridFixture f(1);
-  HarvestPolicy policy;
-  const auto result = RunBatch(f, policy, 10, 1.0);
-  EXPECT_DOUBLE_EQ(result.fleet_mean_index, f.fleet->MeanCombinedIndex());
-  EXPECT_GT(result.fleet_mean_index, 0.0);
+TEST(BagSchedulingTest, BackupsNeverExceedTheCopyLimit) {
+  // On a quiet fleet nothing is evicted, so every dispatch after a job's
+  // first is a backup copy running next to it: a job's attempts count its
+  // concurrent copies. Ten jobs on 169 machines leave plenty idle. A
+  // limit of one copy starts no backups at all.
+  for (const int limit : {1, 2, 3}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    QuietFixture f(1, 7);
+    HarvestPolicy policy = BackupPolicy(true);
+    policy.max_copies_per_unit = limit;
+    const auto result = RunBag(f, policy, 10, 50.0);
+    ASSERT_TRUE(result.dag_finished);
+    std::uint32_t most = 0;
+    for (const DagJobRun& job : result.jobs) {
+      EXPECT_LE(job.attempts, static_cast<std::uint32_t>(limit));
+      most = std::max(most, job.attempts);
+    }
+    EXPECT_EQ(most, static_cast<std::uint32_t>(limit));
+    EXPECT_EQ(result.backup_copies_started, 10u * (limit - 1));
+    EXPECT_EQ(result.backup_copies_cancelled, result.backup_copies_started);
+  }
 }
 
 TEST(DescribePolicyTest, Labels) {
