@@ -8,12 +8,15 @@
 //   * the merged sample-stream hash is identical to the materialised
 //     trace's (bit-identical streaming; compared as hex strings so no
 //     bits are lost to double round-tripping)
-//   * streamed peak RSS <= materialised peak RSS + 32 MiB of slack — the
+//   * streamed peak RSS <= materialised peak RSS + 8 MiB of slack — the
 //     streamed run must never out-eat the engine that holds the whole
 //     trace (the slack absorbs allocator noise on tiny horizons, where
-//     both footprints are dominated by the fleet itself)
+//     both footprints are dominated by the fleet itself). At CI's 7 days
+//     both runs peak near 20 MiB, so the slack is tight enough to catch
+//     the fold's per-machine weekly state growing back from 31.5 KiB to
+//     the 157.5 KiB of five full WeeklyProfiles (a ~41 MiB streamed peak)
 //   * streamed peak RSS is flat in the horizon: the 2x-horizon run stays
-//     within 1.25x + 32 MiB of the 1x run (the O(block) memory claim)
+//     within 1.25x + 8 MiB of the 1x run (the O(block) memory claim)
 //   * the 2x run actually streamed more blocks than the 1x run (the
 //     flatness check is vacuous if everything fit in one block)
 //   * streamed wall time within 2.5x + 1 s of materialised — segment
@@ -100,7 +103,7 @@ int main(int argc, char** argv) {
       stream.Number("peak_rss_supported", 1.0) != 0.0 &&
       stream2.Number("peak_rss_supported", 1.0) != 0.0 &&
       mat_rss > 0.0;
-  const double slack = 32.0 * 1024.0 * 1024.0;
+  const double slack = 8.0 * 1024.0 * 1024.0;
   if (rss_supported) {
     Check(stream_rss <= mat_rss + slack,
           "streamed peak RSS no worse than materialised",

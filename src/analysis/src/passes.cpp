@@ -535,11 +535,14 @@ void WeeklyPass::AccumulateMachine(const PassContext& ctx,
 void WeeklyPass::FoldMachine(std::size_t /*machine*/, const MachineAcc& acc,
                              State& state) const {
   auto& st = static_cast<Impl&>(state);
-  st.cpu_idle.Merge(acc.cpu_idle);
-  st.ram.Merge(acc.ram);
-  st.swap.Merge(acc.swap);
-  st.sent.Merge(acc.sent);
-  st.recv.Merge(acc.recv);
+  for (std::size_t i = 0; i < acc.bins.size(); ++i) {
+    const MachineAcc::Bin& b = acc.bins[i];
+    st.ram.MergeMeanAt(i, b.samples, b.ram);
+    st.swap.MergeMeanAt(i, b.samples, b.swap);
+    st.cpu_idle.MergeMeanAt(i, b.intervals, b.cpu_idle);
+    st.sent.MergeMeanAt(i, b.intervals, b.sent);
+    st.recv.MergeMeanAt(i, b.intervals, b.recv);
+  }
 }
 
 void WeeklyPass::MergeState(State& into, State& from) const {

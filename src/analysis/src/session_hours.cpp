@@ -24,9 +24,9 @@ SessionHourProfile ComputeSessionHourProfile(const trace::TraceStore& trace,
   trace::ForEachInterval(trace, options, [&](const trace::SampleInterval& i) {
     const auto& closing = trace.samples()[i.end_index];
     if (!closing.has_session) return;
-    const auto hour = closing.SessionSeconds() / 3600;
-    const auto bin = static_cast<std::size_t>(
-        std::min<std::int64_t>(hour, max_hours));
+    // A negative session age (logon after the sample) counts in hour 0.
+    const auto bin = static_cast<std::size_t>(std::clamp<std::int64_t>(
+        closing.SessionSeconds() / 3600, 0, max_hours));
     bins[bin].Add(i.cpu_idle_pct);
   });
 

@@ -28,8 +28,9 @@ namespace {
 }  // namespace
 
 /// Per-machine cursor + the per-pass accumulators the materialised sweep
-/// builds per machine. ~170 KB per machine (dominated by the five weekly
-/// profiles), i.e. O(machines), independent of trace length.
+/// builds per machine. ~35 KB per machine, 31.5 KiB of it the bin-major
+/// weekly state (WeeklyPass::MachineAcc), i.e. O(machines), independent of
+/// trace length.
 struct StreamingAnalysis::MachineState {
   explicit MachineState(const StreamingAnalysisConfig& cfg)
       : hours(static_cast<std::size_t>(cfg.session_hours_max) + 1),

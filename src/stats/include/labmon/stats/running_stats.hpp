@@ -49,6 +49,27 @@ class RunningStats {
     max_ = std::max(max_, other.max_);
   }
 
+  /// Merges `n` unit-weight observations whose running mean is `mean`: the
+  /// count/weight/mean steps of Merge with `other.weight_ == n`, so
+  /// count(), weight() and mean() get the same bits Merge would give them.
+  /// m2, min and max are not carried, so variance(), stddev(), min() and
+  /// max() are meaningless afterwards; callers that merge this way read
+  /// only count(), weight() and mean().
+  void MergeMean(std::int64_t n, double mean) noexcept {
+    if (n == 0) return;
+    const auto w = static_cast<double>(n);
+    if (count_ == 0) {
+      count_ = n;
+      weight_ = w;
+      mean_ = mean;
+      return;
+    }
+    const double total = weight_ + w;
+    mean_ += (mean - mean_) * w / total;
+    weight_ = total;
+    count_ += n;
+  }
+
   [[nodiscard]] std::int64_t count() const noexcept { return count_; }
   [[nodiscard]] double weight() const noexcept { return weight_; }
   [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }

@@ -23,10 +23,10 @@ class WeeklyProfile {
     bins_[BinOf(t)].AddWeighted(value, weight);
   }
 
-  /// Accumulates into an already-computed bin (see BinOf). Lets callers
-  /// that feed several same-width profiles from one instant fold it once.
-  void AddAt(std::size_t bin, double value, double weight = 1.0) noexcept {
-    bins_[bin].AddWeighted(value, weight);
+  /// Merges `n` unit-weight observations with running mean `mean` into
+  /// bin i (RunningStats::MergeMean; only count, weight and mean are kept).
+  void MergeMeanAt(std::size_t i, std::int64_t n, double mean) noexcept {
+    bins_[i].MergeMean(n, mean);
   }
 
   /// Merges another profile with the same bin width into this one
@@ -44,9 +44,20 @@ class WeeklyProfile {
 
   /// Bin index a given instant folds into.
   [[nodiscard]] std::size_t BinOf(util::SimTime t) const noexcept {
+    return BinOf(t, bin_minutes_);
+  }
+  /// The same folding for `bin_minutes`-wide bins, without a profile (for
+  /// accumulators that keep their own per-bin state).
+  [[nodiscard]] static std::size_t BinOf(util::SimTime t,
+                                         int bin_minutes) noexcept {
     const auto minute_of_week =
         (t % util::kSecondsPerWeek) / util::kSecondsPerMinute;
-    return static_cast<std::size_t>(minute_of_week / bin_minutes_);
+    return static_cast<std::size_t>(minute_of_week / bin_minutes);
+  }
+  /// Bins per week at `bin_minutes` (which must divide the week).
+  [[nodiscard]] static std::size_t BinCount(int bin_minutes) noexcept {
+    return static_cast<std::size_t>(
+        util::kSecondsPerWeek / util::kSecondsPerMinute / bin_minutes);
   }
   /// Start minute-of-week of bin i.
   [[nodiscard]] int BinStartMinute(std::size_t i) const noexcept {

@@ -12,7 +12,7 @@ constexpr int kMinutesPerWeek = 7 * 24 * 60;
 
 WeeklyProfile::WeeklyProfile(int bin_minutes) : bin_minutes_(bin_minutes) {
   assert(bin_minutes > 0 && kMinutesPerWeek % bin_minutes == 0);
-  bins_.resize(static_cast<std::size_t>(kMinutesPerWeek / bin_minutes));
+  bins_.resize(BinCount(bin_minutes));
 }
 
 void WeeklyProfile::Merge(const WeeklyProfile& other) noexcept {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "labmon/analysis/passes.hpp"
+#include "labmon/analysis/pipeline.hpp"
+#include "labmon/analysis/stream_fold.hpp"
+#include "labmon/trace/block.hpp"
+#include "labmon/trace/derived_trace.hpp"
 #include "synthetic_trace.hpp"
 
 namespace labmon::analysis {
@@ -106,6 +111,47 @@ TEST(SessionHourTest, FirstBinAbove99Detection) {
   const std::string out = RenderSessionHourProfile(profile);
   EXPECT_NE(out.find("[10-11["), std::string::npos);
   EXPECT_NE(out.find("(paper: [10-11[)"), std::string::npos);
+}
+
+TEST(SessionHourTest, LogonAfterSampleCountsInHourZero) {
+  // Every sample's logon lies 100 h after it: a negative session age, which
+  // no valid trace has but crafted LMTR1/LMSG bytes decode to. Each engine
+  // must count both closed intervals in hour 0 instead of indexing far
+  // outside its bins.
+  TraceBuilder builder(1);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const std::int64_t t = 900 * (i + 1);
+    builder.Sample(0, i, t, 0, 0.9, t + 100 * 3600);
+  }
+  builder.Iterations(3, 1);
+  const auto trace = builder.Build();
+
+  const auto legacy = ComputeSessionHourProfile(trace);
+  EXPECT_EQ(legacy.bins[0].samples, 2u);
+
+  trace::DerivedTrace derived(trace, trace::DerivedTraceOptions{});
+  AnalysisPipeline pipeline(PipelineOptions{1, 8, nullptr});
+  auto& pass = pipeline.Emplace<SessionHoursPass>();
+  pipeline.Run(derived);
+
+  StreamingAnalysisConfig config;
+  config.machine_count = trace.machine_count();
+  config.perf_index = {1.0};
+  StreamingAnalysis fold(std::move(config));
+  trace::StoreReader reader(trace, 64);
+  while (const trace::TraceBlock* block = reader.Next()) fold.Accept(*block);
+  trace::TraceStore summary(trace.machine_count());
+  for (const auto& info : trace.iterations()) summary.AppendIteration(info);
+  const auto streamed = fold.Finish(summary);
+
+  for (const auto* profile : {&pass.result(), &streamed.session_hours}) {
+    ASSERT_EQ(profile->bins.size(), legacy.bins.size());
+    for (std::size_t h = 0; h < legacy.bins.size(); ++h) {
+      EXPECT_EQ(profile->bins[h].samples, legacy.bins[h].samples);
+      EXPECT_EQ(profile->bins[h].mean_cpu_idle_pct,
+                legacy.bins[h].mean_cpu_idle_pct);
+    }
+  }
 }
 
 TEST(SessionHourTest, SamplesWithoutSessionIgnored) {

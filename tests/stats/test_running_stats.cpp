@@ -1,6 +1,8 @@
 #include "labmon/stats/running_stats.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,6 +86,50 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   empty.Merge(a);
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
   EXPECT_EQ(empty.count(), 2);
+}
+
+void ExpectSameCountWeightMean(const RunningStats& a, const RunningStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.weight()),
+            std::bit_cast<std::uint64_t>(b.weight()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean()),
+            std::bit_cast<std::uint64_t>(b.mean()));
+}
+
+TEST(RunningStatsTest, MergeMeanMatchesMergeBitForBit) {
+  // Unit-weight sequences split into two accumulators; the lengths include
+  // empty-into-empty, empty-into-full and full-into-empty.
+  util::Rng rng(2005);
+  for (const int into_n : {0, 1, 2, 7, 300}) {
+    for (const int from_n : {0, 1, 3, 8, 500}) {
+      RunningStats into;
+      RunningStats from;
+      // (count, mean) the way a compact accumulator keeps it: the
+      // unit-weight update `mean += (x - mean) / n`.
+      std::int64_t n = 0;
+      double mean = 0.0;
+      for (int i = 0; i < into_n; ++i) into.Add(rng.Normal(50.0, 30.0));
+      for (int i = 0; i < from_n; ++i) {
+        const double x = rng.Normal(50.0, 30.0);
+        from.Add(x);
+        mean += (x - mean) / static_cast<double>(++n);
+      }
+      ASSERT_EQ(n, from.count());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(mean),
+                std::bit_cast<std::uint64_t>(from.mean()));
+
+      RunningStats by_stats = into;
+      by_stats.Merge(from);
+      RunningStats by_mean = into;
+      by_mean.MergeMean(n, mean);
+      ExpectSameCountWeightMean(by_mean, by_stats);
+      // Merging again into the merged state (the fleet reduction chains
+      // every machine's bin into one accumulator).
+      by_stats.Merge(from);
+      by_mean.MergeMean(n, mean);
+      ExpectSameCountWeightMean(by_mean, by_stats);
+    }
+  }
 }
 
 TEST(RunningStatsTest, NumericallyStableNearLargeOffset) {
