@@ -500,6 +500,78 @@ void BM_SegmentRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentRoundTrip)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
+void BM_SegmentAppendWindowBlocks(benchmark::State& state) {
+  // LMSG2 spill in the block shape the pipelined engine writes: the 2-day
+  // paper trace cut into one block per lab per 16-iteration window (the
+  // default StreamingOptions::window_iterations), each lab appending its
+  // blocks in window order to a segment of its own. Blocks hold ~100
+  // samples, so per-block fixed costs show here, unlike in the one-block
+  // BM_SegmentRoundTrip / BM_ColumnDeltaEncode. items/s = samples/s.
+  constexpr std::size_t kWindow = 16;
+  core::ExperimentConfig config;
+  config.campus.days = 2;
+  const auto result = bench::RunExperiment(config);
+  const trace::TraceStore& trace = result.trace;
+  const std::size_t machine_count = trace.machine_count();
+  std::size_t iterations = trace.iterations().size();
+  for (const std::uint32_t it : trace.columns().iteration) {
+    iterations = std::max<std::size_t>(iterations, it + std::size_t{1});
+  }
+  const std::size_t windows = (iterations + kWindow - 1) / kWindow;
+
+  std::vector<std::size_t> lab_of(machine_count, 0);
+  std::size_t first = 0;
+  for (std::size_t lab = 0; lab < result.labs.size(); ++lab) {
+    for (std::size_t k = 0; k < result.labs[lab].machine_count; ++k) {
+      lab_of[first + k] = lab;
+    }
+    first += result.labs[lab].machine_count;
+  }
+  // blocks[lab][window]
+  std::vector<std::vector<trace::TraceStore>> blocks(result.labs.size());
+  for (auto& lab_blocks : blocks) {
+    for (std::size_t w = 0; w < windows; ++w) {
+      lab_blocks.emplace_back(machine_count);
+      for (std::size_t k = w * kWindow;
+           k < std::min(trace.iterations().size(), (w + 1) * kWindow); ++k) {
+        lab_blocks.back().AppendIteration(trace.iterations()[k]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const std::size_t w = trace.columns().iteration[i] / kWindow;
+    blocks[lab_of[trace.columns().machine[i]]][w].Append(trace.Sample(i));
+  }
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "labmon_bm_window_blocks";
+  std::filesystem::create_directories(dir);
+  bool ok = true;
+  for (auto _ : state) {
+    for (std::size_t lab = 0; ok && lab < blocks.size(); ++lab) {
+      auto writer = trace::SegmentWriter::Open(
+          (dir / ("lab" + std::to_string(lab) + ".lmsg")).string(),
+          machine_count, trace::SpillCodecId::kLmsg2);
+      ok = writer.ok();
+      for (std::size_t w = 0; ok && w < windows; ++w) {
+        ok = writer.value().Append(blocks[lab][w]).ok();
+      }
+      ok = ok && writer.value().Finish().ok();
+    }
+    if (!ok) {
+      state.SkipWithError("segment write failed");
+      break;
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.size()));
+  state.counters["blocks"] =
+      static_cast<double>(blocks.size() * windows);
+}
+BENCHMARK(BM_SegmentAppendWindowBlocks)->Unit(benchmark::kMillisecond);
+
 void BM_ColumnDeltaEncode(benchmark::State& state) {
   // LMSG2 per-column encode (delta/zigzag transforms + RLE + varint) on a
   // fleet-like trace; items/s = samples/s, bytes/s = raw columnar bytes.

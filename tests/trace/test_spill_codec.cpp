@@ -286,6 +286,102 @@ TEST(SpillCodecTest, HostileHeaderCountsFailFast) {
   EXPECT_FALSE(Lmsg2().DecodeBlock(payload, kMachines, decoded).ok());
 }
 
+// --- byte goldens ---------------------------------------------------------
+
+constexpr std::size_t kFleetMachines = 1352;  // the x8 campus
+
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// A lab window the way the pipelined engine seals it: machines
+/// [first, first + count) of a fleet-sized id space, one row per
+/// responding machine per iteration, monotone counters, a reboot, a few
+/// sessions and some missed probes. Values come from mt19937_64's raw
+/// output (fixed by the standard), never from a distribution.
+TraceStore WindowBlock(std::uint32_t first, std::uint32_t count,
+                       std::uint32_t iterations) {
+  std::mt19937_64 rng(first * 131 + count);
+  TraceStore store(kFleetMachines);
+  constexpr std::uint32_t kFirstIteration = 2000;
+  constexpr std::int64_t kPeriod = 900;
+  const std::int64_t t0 = std::int64_t{kFirstIteration} * kPeriod;
+  for (std::uint32_t it = 0; it < iterations; ++it) {
+    std::uint32_t successes = 0;
+    for (std::uint32_t k = 0; k < count; ++k) {
+      if ((it * 7 + k * 3) % 11 == 5) continue;  // missed probe
+      const std::uint32_t m = first + k;
+      const bool rebooted = k == 2 && it >= 9;
+      SampleRecord r;
+      r.machine = m;
+      r.iteration = kFirstIteration + it;
+      r.t = t0 + kPeriod * it + 2 * k;
+      r.boot_time = rebooted ? t0 + kPeriod * 9 - 120 : t0 - 86'400 - 37 * k;
+      r.uptime_s = r.t - r.boot_time;
+      r.cpu_idle_s =
+          static_cast<double>(static_cast<std::int64_t>(r.uptime_s) * 97 +
+                              static_cast<std::int64_t>(rng() % 5000)) /
+          100.0;
+      r.ram_mb = k % 4 == 0 ? 1024 : 512;
+      r.mem_load_pct = static_cast<std::uint8_t>(30 + rng() % 40);
+      r.swap_load_pct = static_cast<std::uint8_t>(k % 3 == 0 ? 7 : 4);
+      r.disk_total_b = 74'500'000'000ULL + k * 1'000'000ULL;
+      r.disk_free_b = 41'000'000'000ULL - it * 4096ULL * (k + 1);
+      r.smart_power_on_hours = 9'000 + k * 11 + it / 4;
+      r.smart_power_cycles = 700 + k + (rebooted ? 1 : 0);
+      r.net_sent_b = 1'000'000ULL * k + it * (rng() % 65'536);
+      r.net_recv_b = 3'000'000ULL * k + it * (rng() % 262'144);
+      if (k % 4 == 1 && it >= 3 && it < 13) {
+        r.has_session = true;
+        r.session_logon = t0 + kPeriod * 3 - 60 * k;
+        constexpr const char* kUsers[] = {"s100", "s101", "s102"};
+        r.user = kUsers[(k * 5) % 3];
+      }
+      store.Append(r);
+      ++successes;
+    }
+    store.AppendIteration({kFirstIteration + it, t0 + kPeriod * it,
+                           t0 + kPeriod * it + 45 + it % 3, count,
+                           successes});
+  }
+  return store;
+}
+
+// The LMSG2 bytes themselves, pinned: EncodeIsDeterministic compares two
+// runs of one binary, so a change to the transforms or the RLE layer could
+// alter the on-disk format without it noticing. The window block uses
+// machine ids near the top of a 1,352-machine fleet, where per-machine
+// delta state is keyed far from 0.
+TEST(SpillCodecTest, Lmsg2BytesArePinned) {
+  struct Golden {
+    const char* name;
+    TraceStore store;
+    std::uint64_t fnv1a;
+  };
+  const Golden goldens[] = {
+      {"window", WindowBlock(1337, 15, 17), 0x20e3479d0b06ae4dull},
+      {"one_machine", WindowBlock(1351, 1, 17), 0x635ea58a56056f9eull},
+      {"sample_free", WindowBlock(1337, 0, 16), 0xd01bf225cee476f9ull},
+      {"empty", TraceStore(kFleetMachines), 0x98b2b1418e80a50full},
+  };
+  std::string payload;
+  TraceBlock decoded;
+  for (const Golden& g : goldens) {
+    Lmsg2().EncodeBlock(g.store, payload);
+    EXPECT_EQ(Fnv1a(payload), g.fnv1a)
+        << g.name << ": 0x" << std::hex << Fnv1a(payload) << std::dec
+        << " (" << payload.size() << " bytes)";
+    auto ok = Lmsg2().DecodeBlock(payload, kFleetMachines, decoded);
+    ASSERT_TRUE(ok.ok()) << g.name << ": " << ok.error();
+    ExpectBlockEqualsStore(decoded, g.store);
+  }
+}
+
 TEST(SpillCodecTest, EncodeIsDeterministic) {
   std::mt19937_64 rng(11);
   const TraceStore store = RandomBlock(rng, 100);

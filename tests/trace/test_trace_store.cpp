@@ -91,6 +91,31 @@ TEST(TraceStoreTest, ResponsesPerMachine) {
   EXPECT_EQ(responses[1], 2u);
 }
 
+TEST(TraceStoreTest, ClearSamplesEmptiesEveryMachineIndex) {
+  TraceStore store(1352);
+  store.Append(MakeTestRecord(3, 0, 900));
+  store.Append(MakeTestRecord(900, 0, 901, true));
+  store.Append(MakeTestRecord(3, 1, 1800));
+  store.AppendIteration(IterationInfo{0, 900, 960, 2, 2});
+  store.ClearSamples();
+
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_TRUE(store.iterations().empty());
+  EXPECT_TRUE(store.users().empty());
+  for (std::size_t m = 0; m < 1352; ++m) {
+    EXPECT_TRUE(store.MachineSamples(m).empty()) << "machine " << m;
+  }
+  const auto responses = store.ResponsesPerMachine();
+  ASSERT_EQ(responses.size(), 1352u);
+  for (const std::uint32_t count : responses) EXPECT_EQ(count, 0u);
+
+  store.Append(MakeTestRecord(900, 2, 2700));
+  const auto index = store.MachineSamples(900);
+  EXPECT_EQ(std::vector<std::uint32_t>(index.begin(), index.end()),
+            std::vector<std::uint32_t>{0});
+  EXPECT_TRUE(store.MachineSamples(3).empty());
+}
+
 TEST(TraceStoreTest, TotalAttemptsFromIterations) {
   TraceStore store(2);
   store.AppendIteration(IterationInfo{0, 0, 900, 169, 80});
