@@ -33,6 +33,38 @@
 
 namespace labmon::trace {
 
+/// Spill I/O accounting that one SegmentWriter or SegmentReader has not yet
+/// published to obs::DefaultRegistry(). Blocks add to it with no registry
+/// lookup (each lookup takes the registry's global mutex, which the shard
+/// workers would contend for); Publish() adds the pending totals to the
+/// labmon_spill_* counters in one batch. Moving hands the pending totals
+/// over, so a moved-from tally publishes nothing, and destruction
+/// publishes whatever is still pending: each block is counted once.
+class SpillIoTally {
+ public:
+  SpillIoTally() = default;
+  /// `direction` ("write" or "read") must be a string literal.
+  SpillIoTally(SpillCodecId codec, const char* direction) noexcept
+      : codec_(codec), direction_(direction) {}
+  SpillIoTally(SpillIoTally&& other) noexcept;
+  SpillIoTally& operator=(SpillIoTally&& other);
+  ~SpillIoTally();
+
+  void Add(const SpillCodecStats& block) noexcept { pending_ += block; }
+  /// Where the encoder adds each written block's per-column bytes.
+  [[nodiscard]] SpillColumnBytes* columns() noexcept { return &columns_; }
+  /// Publishes and clears the pending totals; a no-op when nothing is
+  /// pending. Also sets labmon_spill_column_ratio from the cumulative
+  /// per-column counters.
+  void Publish();
+
+ private:
+  SpillCodecId codec_ = kDefaultSpillCodec;
+  const char* direction_ = "write";
+  SpillCodecStats pending_;
+  SpillColumnBytes columns_;
+};
+
 class SegmentWriter {
  public:
   /// Opens (truncates) `path` and writes the segment header for `codec`.
@@ -46,10 +78,14 @@ class SegmentWriter {
   /// Appends one sealed block: `block_store` must hold the block's samples,
   /// its own (block-local) user table and its iteration rows. Encoding runs
   /// on the calling thread — spill callers invoke this from shard workers
-  /// so compression stays off any merge critical path.
+  /// so compression stays off any merge critical path. A block costs what
+  /// its samples cost: no registry lookup, and codec scratch sized by the
+  /// block's own rows and machine-id range, never by the fleet.
   [[nodiscard]] util::Result<bool> Append(const TraceStore& block_store);
 
-  /// Flushes and closes; returns an error if any write failed.
+  /// Flushes and closes; returns an error if any write failed. Publishes
+  /// the writer's spill metrics (as a failed Append or the destructor
+  /// would, if Finish is never reached).
   [[nodiscard]] util::Result<bool> Finish();
 
   [[nodiscard]] std::uint64_t blocks() const noexcept { return blocks_; }
@@ -71,6 +107,7 @@ class SegmentWriter {
   const SpillCodec* codec_ = nullptr;
   std::string payload_;  ///< reused encode buffer
   SpillCodecStats stats_;
+  SpillIoTally tally_;
   std::uint64_t blocks_ = 0;
   std::uint64_t bytes_written_ = 0;
 };
@@ -78,7 +115,8 @@ class SegmentWriter {
 /// Streams the blocks of a segment file back. A failed read (truncation,
 /// checksum mismatch, payload decode error) ends the stream with
 /// `failed()` true and a diagnostic in `error()` — callers must check
-/// after Next() returns nullptr.
+/// after Next() returns nullptr. The reader publishes its spill metrics
+/// when the stream ends or fails, or when it is destroyed first.
 class SegmentReader final : public TraceReader {
  public:
   [[nodiscard]] static util::Result<SegmentReader> Open(
@@ -114,6 +152,7 @@ class SegmentReader final : public TraceReader {
 
  private:
   SegmentReader() = default;
+  bool ReadBlock(TraceBlock& out);
 
   std::ifstream in_;
   std::string path_;
@@ -124,6 +163,7 @@ class SegmentReader final : public TraceReader {
   std::string error_;
   std::string payload_;
   SpillCodecStats stats_;
+  SpillIoTally tally_;
   TraceBlock scratch_;
 };
 

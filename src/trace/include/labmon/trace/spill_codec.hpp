@@ -78,6 +78,21 @@ struct SpillCodecStats {
   }
 };
 
+/// Columns an LMSG2 payload carries, one section each, in
+/// TraceStore::ForEachColumn order.
+inline constexpr std::size_t kSpillColumnCount = 18;
+
+/// The `column` label of LMSG2 column `column` (ForEachColumn order) in
+/// the labmon_spill_column_* metrics.
+[[nodiscard]] const char* SpillColumnName(std::size_t column) noexcept;
+
+/// Per-column bytes through the LMSG2 encoder: `raw` is rows x element
+/// size, `encoded` the column's section including its length prefix.
+struct SpillColumnBytes {
+  std::uint64_t raw[kSpillColumnCount] = {};
+  std::uint64_t encoded[kSpillColumnCount] = {};
+};
+
 /// In-memory columnar footprint of a block's contents — the "raw" side of
 /// every compression ratio this module reports.
 [[nodiscard]] std::uint64_t RawColumnBytes(const TraceStore& store) noexcept;
@@ -93,9 +108,11 @@ class SpillCodec {
 
   /// Encodes one sealed block (samples + block-local user table +
   /// iteration rows) into `out` (cleared first). Pure in-memory transform;
-  /// cannot fail.
-  virtual void EncodeBlock(const TraceStore& block_store,
-                           std::string& out) const = 0;
+  /// cannot fail, and touches no shared state. A codec with column
+  /// sections (LMSG2) adds the block's per-column bytes to `*columns` when
+  /// it is given.
+  virtual void EncodeBlock(const TraceStore& block_store, std::string& out,
+                           SpillColumnBytes* columns = nullptr) const = 0;
 
   /// Decodes one payload into `out` (cleared first). `machine_count` is
   /// the segment-header fleet size, used to bound machine ids. Iteration

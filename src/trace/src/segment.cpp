@@ -1,9 +1,11 @@
 #include "labmon/trace/segment.hpp"
 
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "labmon/obs/registry.hpp"
+#include "labmon/util/log.hpp"
 #include "labmon/util/varint.hpp"
 
 namespace labmon::trace {
@@ -52,36 +54,83 @@ bool ReadVarint(std::istream& in, std::uint64_t& value, bool& clean_eof) {
   return false;
 }
 
-/// Bulk-updates the registry's spill codec counters, one call per
-/// Append/Next so the encode/decode hot loops stay clean (the per-column
-/// breakdown is counted inside the LMSG2 codec itself).
-void CountSpillIo(const SpillCodec& codec, const char* direction,
-                  const SpillCodecStats& delta) {
+}  // namespace
+
+SpillIoTally::SpillIoTally(SpillIoTally&& other) noexcept
+    : codec_(other.codec_),
+      direction_(other.direction_),
+      pending_(std::exchange(other.pending_, {})),
+      columns_(std::exchange(other.columns_, {})) {}
+
+SpillIoTally& SpillIoTally::operator=(SpillIoTally&& other) {
+  if (this != &other) {
+    Publish();
+    codec_ = other.codec_;
+    direction_ = other.direction_;
+    pending_ = std::exchange(other.pending_, {});
+    columns_ = std::exchange(other.columns_, {});
+  }
+  return *this;
+}
+
+SpillIoTally::~SpillIoTally() {
+  // Registry lookups allocate. If one fails here, the metrics are lost but
+  // the spill is not, and nothing may escape a destructor.
+  try {
+    Publish();
+  } catch (const std::exception&) {
+    util::log::Warn("spill metrics could not be published");
+  }
+}
+
+void SpillIoTally::Publish() {
+  if (pending_.blocks == 0) return;
   obs::Registry& registry = obs::DefaultRegistry();
-  const char* name = SpillCodecName(codec.id());
+  const obs::Labels labels = {{"codec", SpillCodecName(codec_)},
+                              {"direction", direction_}};
   registry
       .GetCounter("labmon_spill_raw_bytes_total",
                   "In-memory columnar bytes moved through the spill codecs",
-                  {{"codec", name}, {"direction", direction}})
-      .Increment(delta.raw_bytes);
+                  labels)
+      .Increment(pending_.raw_bytes);
   registry
       .GetCounter("labmon_spill_payload_bytes_total",
                   "Encoded payload bytes moved through the spill codecs",
-                  {{"codec", name}, {"direction", direction}})
-      .Increment(delta.payload_bytes);
+                  labels)
+      .Increment(pending_.payload_bytes);
   registry
       .GetCounter("labmon_spill_codec_ns_total",
-                  "Wall nanoseconds spent in spill encode/decode",
-                  {{"codec", name}, {"direction", direction}})
-      .Increment(delta.ns);
+                  "Wall nanoseconds spent in spill encode/decode", labels)
+      .Increment(pending_.ns);
   registry
       .GetCounter("labmon_spill_codec_samples_total",
-                  "Samples moved through the spill codecs",
-                  {{"codec", name}, {"direction", direction}})
-      .Increment(delta.samples);
+                  "Samples moved through the spill codecs", labels)
+      .Increment(pending_.samples);
+  // Only a column-section codec fills the columns, and its every section
+  // has a length prefix, so a written column has encoded bytes.
+  for (std::size_t i = 0; i < kSpillColumnCount; ++i) {
+    if (columns_.encoded[i] == 0) continue;
+    const char* column = SpillColumnName(i);
+    obs::Counter& raw = registry.GetCounter(
+        "labmon_spill_column_bytes_total",
+        "Per-column bytes through the LMSG2 spill encoder",
+        {{"column", column}, {"kind", "raw"}});
+    obs::Counter& encoded = registry.GetCounter(
+        "labmon_spill_column_bytes_total",
+        "Per-column bytes through the LMSG2 spill encoder",
+        {{"column", column}, {"kind", "encoded"}});
+    raw.Increment(columns_.raw[i]);
+    encoded.Increment(columns_.encoded[i]);
+    registry
+        .GetGauge("labmon_spill_column_ratio",
+                  "Cumulative raw/encoded ratio per LMSG2 column",
+                  {{"column", column}})
+        .Set(static_cast<double>(raw.value()) /
+             static_cast<double>(encoded.value()));
+  }
+  pending_ = {};
+  columns_ = {};
 }
-
-}  // namespace
 
 util::Result<SegmentWriter> SegmentWriter::Open(const std::string& path,
                                                 std::size_t machine_count,
@@ -90,6 +139,7 @@ util::Result<SegmentWriter> SegmentWriter::Open(const std::string& path,
   SegmentWriter writer;
   writer.path_ = path;
   writer.codec_ = &GetSpillCodec(codec);
+  writer.tally_ = SpillIoTally(codec, "write");
   writer.out_.open(path, std::ios::binary | std::ios::trunc);
   if (!writer.out_) return R::Err("cannot open segment for write: " + path);
   std::string header(writer.codec_->magic());
@@ -106,7 +156,7 @@ util::Result<bool> SegmentWriter::Append(const TraceStore& block_store) {
   using R = util::Result<bool>;
   if (!out_) return R::Err("segment writer not open: " + path_);
   const std::uint64_t t0 = NowNs();
-  codec_->EncodeBlock(block_store, payload_);
+  codec_->EncodeBlock(block_store, payload_, tally_.columns());
   SpillCodecStats delta;
   delta.blocks = 1;
   delta.samples = block_store.size();
@@ -114,7 +164,7 @@ util::Result<bool> SegmentWriter::Append(const TraceStore& block_store) {
   delta.payload_bytes = payload_.size();
   delta.ns = NowNs() - t0;
   stats_ += delta;
-  CountSpillIo(*codec_, "write", delta);
+  tally_.Add(delta);
   std::string frame;
   util::PutVarint(frame, payload_.size());
   const std::uint64_t checksum = Fnv1a(payload_);
@@ -125,7 +175,10 @@ util::Result<bool> SegmentWriter::Append(const TraceStore& block_store) {
     sum[i] = static_cast<char>((checksum >> (8 * i)) & 0xff);
   }
   out_.write(sum, 8);
-  if (!out_) return R::Err("segment block write failed: " + path_);
+  if (!out_) {
+    tally_.Publish();
+    return R::Err("segment block write failed: " + path_);
+  }
   bytes_written_ += frame.size() + payload_.size() + 8;
   ++blocks_;
   return true;
@@ -133,6 +186,7 @@ util::Result<bool> SegmentWriter::Append(const TraceStore& block_store) {
 
 util::Result<bool> SegmentWriter::Finish() {
   using R = util::Result<bool>;
+  tally_.Publish();
   out_.flush();
   if (!out_) return R::Err("segment flush failed: " + path_);
   out_.close();
@@ -155,6 +209,7 @@ util::Result<SegmentReader> SegmentReader::Open(const std::string& path) {
   if (reader.codec_ == nullptr) {
     return R::Err("bad segment magic: " + path);
   }
+  reader.tally_ = SpillIoTally(reader.codec_->id(), "read");
   std::uint64_t version = 0;
   std::uint64_t machines = 0;
   bool clean = false;
@@ -181,6 +236,12 @@ const TraceBlock* SegmentReader::Next() {
 }
 
 bool SegmentReader::Next(TraceBlock& out) {
+  if (ReadBlock(out)) return true;
+  tally_.Publish();  // end of stream or read error
+  return false;
+}
+
+bool SegmentReader::ReadBlock(TraceBlock& out) {
   if (!error_.empty()) return false;
   std::uint64_t payload_len = 0;
   bool clean_eof = false;
@@ -226,7 +287,7 @@ bool SegmentReader::Next(TraceBlock& out) {
   delta.payload_bytes = payload_.size();
   delta.ns = NowNs() - t0;
   stats_ += delta;
-  CountSpillIo(*codec_, "read", delta);
+  tally_.Add(delta);
   // Payloads number iteration rows from zero; a segment's blocks cover the
   // lab's iterations contiguously in order, so restore the stream-global
   // numbering the merge keys on.

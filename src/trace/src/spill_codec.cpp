@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "labmon/obs/registry.hpp"
 #include "labmon/trace/binary_io.hpp"
 #include "labmon/util/varint.hpp"
 
@@ -24,17 +23,17 @@ constexpr std::uint64_t kMaxUserLen = 4096;
 // Fallback machine-id bound when the caller has no segment header count.
 constexpr std::uint64_t kMaxMachines = std::uint64_t{1} << 26;
 
-constexpr std::size_t kSpillColumnCount = [] {
-  std::size_t n = 0;
-  TraceStore::ForEachColumn([&n](auto) { ++n; });
-  return n;
-}();
 // The LMSG2 transform tables below (EncodeBlock/DecodeBlock) are written
 // out per column. If this fires, a column was added to (or removed from)
 // TraceStore::Columns: give it a transform in both directions, a name in
 // kColumnNames, and bump the LMSG2 version if old readers would misparse.
-static_assert(kSpillColumnCount == 18,
-              "TraceStore column set changed: update the LMSG2 spill codec");
+static_assert(
+    [] {
+      std::size_t n = 0;
+      TraceStore::ForEachColumn([&n](auto) { ++n; });
+      return n;
+    }() == kSpillColumnCount,
+    "TraceStore column set changed: update the LMSG2 spill codec");
 
 constexpr const char* kColumnNames[kSpillColumnCount] = {
     "machine",          "iteration",
@@ -68,6 +67,19 @@ std::size_t VarintLen(std::uint64_t v) noexcept {
   return len;
 }
 
+constexpr std::size_t kMaxVarintLen = 10;
+
+/// Writes `v` as a varint at `p` (which must have kMaxVarintLen bytes
+/// free) and returns the byte after it.
+char* WriteVarint(char* p, std::uint64_t v) noexcept {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
 // ---------------------------------------------------------------------------
 // Token-stream RLE layer. A column is first transformed into one u64 token
 // per row, then coded as groups:
@@ -80,15 +92,23 @@ std::size_t VarintLen(std::uint64_t v) noexcept {
 
 constexpr std::size_t kMinRun = 3;
 
-void RleEncode(const std::vector<std::uint64_t>& tokens, std::string& out) {
+/// Most bytes RleEncode writes for `n` tokens: groups are never empty, so
+/// there are at most n group headers and n tokens, each one varint.
+constexpr std::size_t RleEncodeBound(std::size_t n) noexcept {
+  return 2 * kMaxVarintLen * n;
+}
+
+/// Writes the token groups of `tokens` at `out`, which must have
+/// RleEncodeBound(tokens.size()) bytes free; returns the end of the
+/// section. Sized once by the caller, so no varint checks capacity.
+char* RleEncode(const std::vector<std::uint64_t>& tokens, char* out) {
   const std::size_t n = tokens.size();
-  const std::size_t hint = n + 16;  // ~1 byte/token once deltas collapse
   std::size_t lit_start = 0;
   const auto flush_literals = [&](std::size_t end) {
     if (end == lit_start) return;
-    util::PutVarint(out, std::uint64_t{end - lit_start} << 1, hint);
+    out = WriteVarint(out, std::uint64_t{end - lit_start} << 1);
     for (std::size_t k = lit_start; k < end; ++k) {
-      util::PutVarint(out, tokens[k], hint);
+      out = WriteVarint(out, tokens[k]);
     }
   };
   std::size_t i = 0;
@@ -97,13 +117,14 @@ void RleEncode(const std::vector<std::uint64_t>& tokens, std::string& out) {
     while (j < n && tokens[j] == tokens[i]) ++j;
     if (j - i >= kMinRun) {
       flush_literals(i);
-      util::PutVarint(out, (std::uint64_t{j - i} << 1) | 1, hint);
-      util::PutVarint(out, tokens[i], hint);
+      out = WriteVarint(out, (std::uint64_t{j - i} << 1) | 1);
+      out = WriteVarint(out, tokens[i]);
       lit_start = j;
     }
     i = j;
   }
   flush_literals(n);
+  return out;
 }
 
 bool RleDecode(util::VarintReader& r, std::size_t expected,
@@ -150,8 +171,11 @@ bool RleDecode(util::VarintReader& r, std::size_t expected,
 // across shard workers without locking or steady-state allocation.
 struct CodecScratch {
   std::vector<std::uint64_t> tokens;
-  std::vector<std::uint64_t> prev;  ///< per-machine previous, u64 wrap domain
-  std::string section;
+  /// Per-machine previous value (u64 wrap domain), indexed by machine id
+  /// minus the block's lowest id: a block costs its own machine range,
+  /// not the fleet's.
+  std::vector<std::uint64_t> prev;
+  std::string section;  ///< grow-only; RleEncode writes into its front
 };
 
 CodecScratch& Scratch() {
@@ -159,29 +183,17 @@ CodecScratch& Scratch() {
   return scratch;
 }
 
-/// Bulk per-column byte accounting (encode side only; one pass per block).
-void CountColumnBytes(const std::uint64_t (&raw)[kSpillColumnCount],
-                      const std::uint64_t (&encoded)[kSpillColumnCount]) {
-  obs::Registry& registry = obs::DefaultRegistry();
-  for (std::size_t i = 0; i < kSpillColumnCount; ++i) {
-    registry
-        .GetCounter("labmon_spill_column_bytes_total",
-                    "Per-column bytes through the LMSG2 spill encoder",
-                    {{"column", kColumnNames[i]}, {"kind", "raw"}})
-        .Increment(raw[i]);
-    registry
-        .GetCounter("labmon_spill_column_bytes_total",
-                    "Per-column bytes through the LMSG2 spill encoder",
-                    {{"column", kColumnNames[i]}, {"kind", "encoded"}})
-        .Increment(encoded[i]);
-    if (encoded[i] > 0) {
-      registry
-          .GetGauge("labmon_spill_column_ratio",
-                    "Cumulative raw/encoded ratio per LMSG2 column",
-                    {{"column", kColumnNames[i]}})
-          .Set(static_cast<double>(raw[i]) / static_cast<double>(encoded[i]));
-    }
-  }
+/// The machine ids a block's per-machine delta state covers: from `base`,
+/// the block's lowest id, through its highest (`span` ids).
+struct MachineRange {
+  std::uint32_t base = 0;
+  std::size_t span = 0;
+};
+
+MachineRange RangeOf(const std::vector<std::uint32_t>& machines) noexcept {
+  if (machines.empty()) return {};
+  const auto [lo, hi] = std::minmax_element(machines.begin(), machines.end());
+  return {*lo, std::size_t{*hi} - *lo + 1};
 }
 
 // ---------------------------------------------------------------------------
@@ -197,8 +209,8 @@ class Lmsg1Codec final : public SpillCodec {
     return kLmsg1Magic;
   }
 
-  void EncodeBlock(const TraceStore& block_store,
-                   std::string& out) const override {
+  void EncodeBlock(const TraceStore& block_store, std::string& out,
+                   SpillColumnBytes* /*columns*/) const override {
     out = SerializeTrace(block_store);
   }
 
@@ -247,14 +259,15 @@ class Lmsg2Codec final : public SpillCodec {
     return kLmsg2Magic;
   }
 
-  void EncodeBlock(const TraceStore& block_store,
-                   std::string& out) const override;
+  void EncodeBlock(const TraceStore& block_store, std::string& out,
+                   SpillColumnBytes* columns) const override;
   [[nodiscard]] util::Result<bool> DecodeBlock(
       std::string_view payload, std::size_t machine_count,
       TraceBlock& out) const override;
 };
 
-void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out) const {
+void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out,
+                             SpillColumnBytes* columns) const {
   const TraceStore::Columns& c = store.columns();
   const std::size_t n = store.size();
   out.clear();
@@ -270,23 +283,22 @@ void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out) const {
   }
 
   CodecScratch& s = Scratch();
-  std::uint32_t max_machine = 0;
-  for (const std::uint32_t m : c.machine) max_machine = std::max(max_machine, m);
+  const MachineRange machines = RangeOf(c.machine);
+  if (s.section.size() < RleEncodeBound(n)) s.section.resize(RleEncodeBound(n));
 
-  std::uint64_t column_raw[kSpillColumnCount] = {};
-  std::uint64_t column_encoded[kSpillColumnCount] = {};
   std::size_t col = 0;
-
   const auto emit = [&](std::size_t elem_size, auto&& fill) {
     s.tokens.clear();
     s.tokens.reserve(n);
     fill();
-    s.section.clear();
-    RleEncode(s.tokens, s.section);
-    util::PutVarint(out, s.section.size(), s.section.size() + 16);
-    out.append(s.section);
-    column_raw[col] = n * elem_size;
-    column_encoded[col] = s.section.size() + VarintLen(s.section.size());
+    const std::size_t len = static_cast<std::size_t>(
+        RleEncode(s.tokens, s.section.data()) - s.section.data());
+    util::PutVarint(out, len);
+    out.append(s.section.data(), len);
+    if (columns != nullptr) {
+      columns->raw[col] += n * elem_size;
+      columns->encoded[col] += len + VarintLen(len);
+    }
     ++col;
   };
 
@@ -303,9 +315,9 @@ void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out) const {
   };
   const auto machine_delta_of = [&](std::size_t elem_size, auto&& value_of) {
     emit(elem_size, [&] {
-      s.prev.assign(static_cast<std::size_t>(max_machine) + 1, 0);
+      s.prev.assign(machines.span, 0);
       for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t& prev = s.prev[c.machine[i]];
+        std::uint64_t& prev = s.prev[c.machine[i] - machines.base];
         const std::uint64_t cur = value_of(i);
         s.tokens.push_back(
             util::ZigzagEncode(static_cast<std::int64_t>(cur - prev)));
@@ -352,19 +364,20 @@ void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out) const {
     }
   });
 
-  // Iteration rows, delta-coded against the previous row like LMTR1.
-  std::int64_t prev_start = 0;
-  std::int64_t prev_end = 0;
+  // Iteration rows, delta-coded against the previous row like LMTR1, in
+  // u64 wraparound like the columns.
+  std::uint64_t prev_start = 0;
+  std::uint64_t prev_end = 0;
   for (const IterationInfo& it : store.iterations()) {
-    util::PutSignedVarint(out, it.start_t - prev_start);
-    util::PutSignedVarint(out, it.end_t - prev_end);
+    const auto start = static_cast<std::uint64_t>(it.start_t);
+    const auto end = static_cast<std::uint64_t>(it.end_t);
+    util::PutSignedVarint(out, static_cast<std::int64_t>(start - prev_start));
+    util::PutSignedVarint(out, static_cast<std::int64_t>(end - prev_end));
     util::PutVarint(out, it.attempts);
     util::PutVarint(out, it.successes);
-    prev_start = it.start_t;
-    prev_end = it.end_t;
+    prev_start = start;
+    prev_end = end;
   }
-
-  CountColumnBytes(column_raw, column_encoded);
 }
 
 util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
@@ -440,10 +453,7 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
     }
   }
   ++col;
-  std::uint32_t max_machine = 0;
-  for (const std::uint32_t m : cols.machine) {
-    max_machine = std::max(max_machine, m);
-  }
+  const MachineRange machines = RangeOf(cols.machine);
 
   // Stream-delta column with an upper value bound (kNoLimit = any u64).
   constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
@@ -467,9 +477,9 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
   // column's value type (with range checking where the type is narrow).
   const auto machine_delta_into = [&](auto&& store_value) {
     if (!read_tokens()) return false;
-    s.prev.assign(static_cast<std::size_t>(max_machine) + 1, 0);
+    s.prev.assign(machines.span, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t& prev = s.prev[cols.machine[i]];
+      std::uint64_t& prev = s.prev[cols.machine[i] - machines.base];
       prev += static_cast<std::uint64_t>(util::ZigzagDecode(s.tokens[i]));
       if (!store_value(prev)) {
         err = "value out of column range";
@@ -577,8 +587,8 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
   }
 
   // Iteration rows (numbered from zero; the segment reader renumbers).
-  std::int64_t prev_start = 0;
-  std::int64_t prev_end = 0;
+  std::uint64_t prev_start = 0;
+  std::uint64_t prev_end = 0;
   out.iterations.reserve(static_cast<std::size_t>(*iteration_count));
   for (std::uint64_t i = 0; i < *iteration_count; ++i) {
     const auto ds = r.ReadSigned();
@@ -591,12 +601,12 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
     if (*attempts > 0xffffffffull || *successes > 0xffffffffull) {
       return R::Err("implausible LMSG2 iteration counts");
     }
-    prev_start += *ds;
-    prev_end += *de;
+    prev_start += static_cast<std::uint64_t>(*ds);
+    prev_end += static_cast<std::uint64_t>(*de);
     IterationInfo info;
     info.iteration = i;
-    info.start_t = prev_start;
-    info.end_t = prev_end;
+    info.start_t = static_cast<std::int64_t>(prev_start);
+    info.end_t = static_cast<std::int64_t>(prev_end);
     info.attempts = static_cast<std::uint32_t>(*attempts);
     info.successes = static_cast<std::uint32_t>(*successes);
     out.iterations.push_back(info);
@@ -616,6 +626,10 @@ const char* SpillCodecName(SpillCodecId id) noexcept {
       return "lmsg2";
   }
   return "unknown";
+}
+
+const char* SpillColumnName(std::size_t column) noexcept {
+  return column < kSpillColumnCount ? kColumnNames[column] : "unknown";
 }
 
 std::optional<SpillCodecId> ParseSpillCodecName(std::string_view name) noexcept {

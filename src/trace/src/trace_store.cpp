@@ -65,11 +65,16 @@ void TraceStore::AppendFrom(const Columns& src, std::size_t i,
 }
 
 void TraceStore::ClearSamples() {
+  // Append and AppendFrom are the only writers of the machine index, and
+  // each also appends to the machine column: clearing the lists of the
+  // machines sampled costs the block, not the fleet.
+  for (const std::uint32_t machine : columns_.machine) {
+    per_machine_[machine].clear();
+  }
   ForEachColumn([&](auto member) { (columns_.*member).clear(); });
   iterations_.clear();
   users_.clear();
   user_ids_.clear();
-  for (auto& index : per_machine_) index.clear();
 }
 
 void TraceStore::AppendIteration(IterationInfo info) {
