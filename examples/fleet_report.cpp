@@ -192,6 +192,7 @@ std::string PipelineStatsJson(const core::PipelineStats& s) {
        << util::FormatFixed(s.fold_ring_push_wait_s, 6)
        << ", \"fold_ring_pop_wait_s\": "
        << util::FormatFixed(s.fold_ring_pop_wait_s, 6)
+       << ", \"fold_ring_peak_occupancy\": " << s.fold_ring_peak_occupancy
        << ", \"merge_lag_peak_blocks\": " << s.merge_lag_peak_blocks
        << ", \"arena_acquired\": " << s.arena_acquired
        << ", \"arena_reused\": " << s.arena_reused
@@ -504,8 +505,10 @@ int main(int argc, char** argv) {
               << " blocks staged through a ring of " << p.ring_capacity
               << " (peak occupancy " << p.ring_peak_occupancy << ", "
               << p.ring_push_stalls << " push / " << p.ring_pop_stalls
-              << " pop stalls), fold ring " << p.fold_ring_push_stalls
-              << " push / " << p.fold_ring_pop_stalls << " pop stalls ("
+              << " pop stalls), fold ring peak occupancy "
+              << p.fold_ring_peak_occupancy << ", "
+              << p.fold_ring_push_stalls << " push / "
+              << p.fold_ring_pop_stalls << " pop stalls ("
               << util::FormatFixed(p.fold_ring_push_wait_s, 3) << " / "
               << util::FormatFixed(p.fold_ring_pop_wait_s, 3)
               << " s parked), merge lag peak " << p.merge_lag_peak_blocks

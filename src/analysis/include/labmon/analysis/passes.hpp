@@ -37,15 +37,45 @@ class AggregatePass final : public AnalysisPass {
   /// streaming fold: both build one MachineAcc per machine from the same
   /// event sequence and fold it with FoldMachine, so the two paths agree
   /// bit-for-bit.
+  ///
+  /// Table 2 reads only means, so each login class keeps a sample count,
+  /// an interval count and six running means (64 B instead of six
+  /// RunningStats' 288 B). As in WeeklyPass::MachineAcc, every add has unit
+  /// weight, `mean += (x - mean) / n` is RunningStats::Add's mean update
+  /// bit for bit, and FoldMachine merges with RunningStats::MergeMean, so
+  /// the fleet columns get the bits full RunningStats would give them. ram,
+  /// swap and disk share the sample count; cpu_idle, sent and recv share
+  /// the interval count.
   struct MachineAcc {
+    struct Class {
+      std::uint64_t samples = 0;
+      std::uint64_t intervals = 0;
+      double ram = 0.0;
+      double swap = 0.0;
+      double disk = 0.0;
+      double cpu = 0.0;
+      double sent = 0.0;
+      double recv = 0.0;
+
+      void AddSample(double ram_load, double swap_load,
+                     double disk_used_gb) noexcept {
+        const auto n = static_cast<double>(++samples);
+        ram += (ram_load - ram) / n;
+        swap += (swap_load - swap) / n;
+        disk += (disk_used_gb - disk) / n;
+      }
+      void AddInterval(double cpu_idle_pct, double sent_bps,
+                       double recv_bps) noexcept {
+        const auto n = static_cast<double>(++intervals);
+        cpu += (cpu_idle_pct - cpu) / n;
+        sent += (sent_bps - sent) / n;
+        recv += (recv_bps - recv) / n;
+      }
+    };
     std::uint64_t raw_login = 0;
     std::uint64_t reclassified = 0;
-    std::uint64_t no_n = 0;
-    std::uint64_t with_n = 0;
-    stats::RunningStats no_ram, no_swap, no_disk;
-    stats::RunningStats with_ram, with_swap, with_disk;
-    stats::RunningStats no_cpu, no_sent, no_recv;
-    stats::RunningStats with_cpu, with_sent, with_recv;
+    Class no_login;
+    Class with_login;
 
     void AddSample(trace::LoginClass cls, bool has_session, double ram_load,
                    double swap_load, double disk_used_gb) noexcept {
@@ -53,27 +83,17 @@ class AggregatePass final : public AnalysisPass {
       if (cls == trace::LoginClass::kForgotten) ++reclassified;
       // Forgotten counts as non-occupied (the paper reclassifies it).
       if (cls == trace::LoginClass::kWithLogin) {
-        ++with_n;
-        with_ram.Add(ram_load);
-        with_swap.Add(swap_load);
-        with_disk.Add(disk_used_gb);
+        with_login.AddSample(ram_load, swap_load, disk_used_gb);
       } else {
-        ++no_n;
-        no_ram.Add(ram_load);
-        no_swap.Add(swap_load);
-        no_disk.Add(disk_used_gb);
+        no_login.AddSample(ram_load, swap_load, disk_used_gb);
       }
     }
     void AddInterval(trace::LoginClass cls, double cpu_idle_pct,
                      double sent_bps, double recv_bps) noexcept {
       if (cls == trace::LoginClass::kWithLogin) {
-        with_cpu.Add(cpu_idle_pct);
-        with_sent.Add(sent_bps);
-        with_recv.Add(recv_bps);
+        with_login.AddInterval(cpu_idle_pct, sent_bps, recv_bps);
       } else {
-        no_cpu.Add(cpu_idle_pct);
-        no_sent.Add(sent_bps);
-        no_recv.Add(recv_bps);
+        no_login.AddInterval(cpu_idle_pct, sent_bps, recv_bps);
       }
     }
   };

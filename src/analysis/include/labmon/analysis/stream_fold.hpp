@@ -13,12 +13,13 @@
 //
 // Per-iteration quantities need care: floating-point accumulation order
 // must match the materialised chunk grid even though the stream arrives
-// time-ordered, not machine-grouped. Contributions are therefore buffered
-// per iteration, sorted by machine when the iteration closes, and replayed
-// chunk by chunk into per-chunk partials that sum into the global
-// per-iteration vectors — the exact association the chunked sweep
-// produces. Integer counts (powered-on/user-free) commute and are
-// accumulated directly.
+// time-ordered, not machine-grouped. Each sample's contributions are
+// therefore buffered in arrival order and chained onto its machine's slot;
+// when the iteration closes, the touched machine range is walked in
+// ascending order, each machine's chain in arrival (= time) order, into
+// per-chunk partials that sum into the global per-iteration vectors — the
+// exact association the chunked sweep produces, with no sort. Integer
+// counts (powered-on/user-free) commute and are accumulated directly.
 #pragma once
 
 #include <cstdint>
@@ -124,19 +125,28 @@ class StreamingAnalysis {
   std::vector<double> cap_ram_mb_;
   std::vector<double> cap_disk_gb_;
 
-  // Current-iteration buffers, replayed machine-sorted at close.
-  struct EqEntry {
-    std::uint32_t machine;
-    bool occupied;
-    double contribution;
-  };
-  struct CapEntry {
-    std::uint32_t machine;
+  // Current-iteration contributions: one entry per sample in arrival
+  // order, chained per machine through `next` and replayed by machine slot
+  // at close.
+  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+  struct Entry {
     double ram_mb;
     double disk_gb;
+    // CET of the interval closing at this sample, in its class's field;
+    // +0.0 in the other (and in both when no interval closes here).
+    double eq_occupied;
+    double eq_free;
+    std::uint32_t next;  ///< same machine's next entry, or kNoEntry
   };
-  std::vector<EqEntry> eq_buffer_;
-  std::vector<CapEntry> cap_buffer_;
+  struct Slot {
+    std::uint32_t head = kNoEntry;
+    std::uint32_t tail = kNoEntry;
+  };
+  std::vector<Entry> entries_;
+  std::vector<Slot> slots_;  ///< per machine, sized once
+  // Machine range holding entries this iteration (empty: lo > hi).
+  std::uint32_t touched_lo_ = kNoEntry;
+  std::uint32_t touched_hi_ = 0;
   std::uint64_t current_iteration_ = 0;
   bool iteration_open_ = false;
 };

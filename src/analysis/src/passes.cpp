@@ -79,7 +79,7 @@ void AggregatePass::AccumulateMachine(const PassContext& ctx,
   const std::int64_t threshold = options_.forgotten_threshold_s;
 
   // The per-machine accumulator lives in a non-escaping local so the
-  // Welford state stays in registers across the tight loops, folding into
+  // running means stay in registers across the tight loops, folding into
   // the chunk state once per machine. Routing every sample through a
   // class-selected reference into the chunk state instead forces each
   // update through memory — several times slower over the full trace.
@@ -104,20 +104,19 @@ void AggregatePass::FoldMachine(std::size_t /*machine*/, const MachineAcc& acc,
   auto& st = static_cast<Impl&>(state);
   st.raw_login_samples += acc.raw_login;
   st.reclassified_samples += acc.reclassified;
-  st.no_login.samples += acc.no_n;
-  st.no_login.ram.Merge(acc.no_ram);
-  st.no_login.swap.Merge(acc.no_swap);
-  st.no_login.disk_used_gb.Merge(acc.no_disk);
-  st.no_login.cpu_idle.Merge(acc.no_cpu);
-  st.no_login.sent_bps.Merge(acc.no_sent);
-  st.no_login.recv_bps.Merge(acc.no_recv);
-  st.with_login.samples += acc.with_n;
-  st.with_login.ram.Merge(acc.with_ram);
-  st.with_login.swap.Merge(acc.with_swap);
-  st.with_login.disk_used_gb.Merge(acc.with_disk);
-  st.with_login.cpu_idle.Merge(acc.with_cpu);
-  st.with_login.sent_bps.Merge(acc.with_sent);
-  st.with_login.recv_bps.Merge(acc.with_recv);
+  const auto fold = [](Impl::Acc& into, const MachineAcc::Class& from) {
+    const auto samples = static_cast<std::int64_t>(from.samples);
+    const auto intervals = static_cast<std::int64_t>(from.intervals);
+    into.samples += from.samples;
+    into.ram.MergeMean(samples, from.ram);
+    into.swap.MergeMean(samples, from.swap);
+    into.disk_used_gb.MergeMean(samples, from.disk);
+    into.cpu_idle.MergeMean(intervals, from.cpu);
+    into.sent_bps.MergeMean(intervals, from.sent);
+    into.recv_bps.MergeMean(intervals, from.recv);
+  };
+  fold(st.no_login, acc.no_login);
+  fold(st.with_login, acc.with_login);
 }
 
 void AggregatePass::MergeState(State& into, State& from) const {

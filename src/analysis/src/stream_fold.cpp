@@ -70,6 +70,8 @@ StreamingAnalysis::StreamingAnalysis(StreamingAnalysisConfig config)
   for (std::size_t m = 0; m < config_.machine_count; ++m) {
     machines_.emplace_back(config_);
   }
+  slots_.resize(config_.machine_count);
+  entries_.reserve(config_.machine_count);
 }
 
 StreamingAnalysis::~StreamingAnalysis() = default;
@@ -134,6 +136,8 @@ void StreamingAnalysis::Accept(const trace::TraceBlock& block) {
                                            c.cpu_idle_s[i],
                                            c.net_sent_b[i],
                                            c.net_recv_b[i]};
+    double eq_occupied = 0.0;
+    double eq_free = 0.0;
     if (ms.has_prev) {
       trace::detail::EmitIntervalFromEndpoints(
           ms.prev, endpoint, m, config_.intervals,
@@ -146,11 +150,13 @@ void StreamingAnalysis::Accept(const trace::TraceBlock& block) {
                                   iv.recv_bps);
             ms.lab.AddInterval(iv.cpu_idle_pct);
             if (eq_pass_.TracksMachine(m)) {
-              eq_buffer_.push_back(
-                  {m,
-                   IntervalClass(ms.prev_cls_eq, cls_eq) ==
-                       trace::LoginClass::kWithLogin,
-                   eq_pass_.Contribution(m, iv.cpu_idle_pct)});
+              const double cet = eq_pass_.Contribution(m, iv.cpu_idle_pct);
+              if (IntervalClass(ms.prev_cls_eq, cls_eq) ==
+                  trace::LoginClass::kWithLogin) {
+                eq_occupied = cet;
+              } else {
+                eq_free = cet;
+              }
             }
             if (detector_ != nullptr) {
               detector_->OnInterval(iv.end_t, m, iv.cpu_idle_pct);
@@ -175,13 +181,26 @@ void StreamingAnalysis::Accept(const trace::TraceBlock& block) {
     ++on_[it];
     if (cls != trace::LoginClass::kWithLogin) ++free_[it];
     ms.weekly.AddSample(t, c.mem_load_pct[i], c.swap_load_pct[i]);
-    ms.lab.AddSample(cls, c.mem_load_pct[i],
-                     static_cast<double>(c.disk_free_b[i]) / 1e9, c.ram_mb[i],
-                     c.ram_mb[i] * (100.0 - c.mem_load_pct[i]) / 100.0);
+    const double free_ram_mb =
+        c.ram_mb[i] * (100.0 - c.mem_load_pct[i]) / 100.0;
+    const double free_disk_gb = static_cast<double>(c.disk_free_b[i]) / 1e9;
+    ms.lab.AddSample(cls, c.mem_load_pct[i], free_disk_gb, c.ram_mb[i],
+                     free_ram_mb);
     ms.stab.AddSample(c.smart_power_on_hours[i], c.smart_power_cycles[i]);
-    cap_buffer_.push_back(
-        {m, c.ram_mb[i] * (100.0 - c.mem_load_pct[i]) / 100.0,
-         static_cast<double>(c.disk_free_b[i]) / 1e9});
+
+    // Chain this sample's per-iteration contributions onto its slot.
+    const auto entry = static_cast<std::uint32_t>(entries_.size());
+    entries_.push_back(
+        {free_ram_mb, free_disk_gb, eq_occupied, eq_free, kNoEntry});
+    Slot& slot = slots_[m];
+    if (slot.head == kNoEntry) {
+      slot.head = entry;
+    } else {
+      entries_[slot.tail].next = entry;
+    }
+    slot.tail = entry;
+    touched_lo_ = std::min(touched_lo_, m);
+    touched_hi_ = std::max(touched_hi_, m);
     if (detector_ != nullptr) detector_->OnSample(t, m, c.mem_load_pct[i]);
     ++samples_;
   }
@@ -199,54 +218,48 @@ void StreamingAnalysis::CloseIteration() {
     cap_disk_gb_.resize(it + 1, 0.0);
   }
 
-  // Replay the buffered contributions machine-sorted and chunk-grouped:
+  // Replay the buffered contributions by machine slot, chunk-grouped:
   // each chunk's contributions sum into a zero-initialised partial in
-  // ascending machine order, and the partials add in ascending chunk
-  // order — the exact floating-point association of the materialised
-  // chunk sweep plus serial reduction. (A machine contributes at most one
-  // sample per iteration, so the sort order is total.)
+  // ascending machine order (a machine's own entries in arrival order),
+  // and the partials add in ascending chunk order — the exact
+  // floating-point association of the materialised chunk sweep plus serial
+  // reduction. The +0.0 an entry holds for a class it does not feed
+  // leaves that class's (never -0.0) sums unchanged, as does a chunk's
+  // +0.0 partial.
   const std::size_t per_chunk =
       std::max<std::size_t>(1, config_.machines_per_chunk);
-
-  std::sort(eq_buffer_.begin(), eq_buffer_.end(),
-            [](const EqEntry& a, const EqEntry& b) {
-              return a.machine < b.machine;
-            });
-  for (std::size_t i = 0; i < eq_buffer_.size();) {
-    const std::size_t chunk = eq_buffer_[i].machine / per_chunk;
-    double occupied = 0.0;
-    double free = 0.0;
-    for (; i < eq_buffer_.size() && eq_buffer_[i].machine / per_chunk == chunk;
-         ++i) {
-      if (eq_buffer_[i].occupied) {
-        occupied += eq_buffer_[i].contribution;
-      } else {
-        free += eq_buffer_[i].contribution;
-      }
-    }
+  double occupied = 0.0;
+  double free = 0.0;
+  double ram_mb = 0.0;
+  double disk_gb = 0.0;
+  const auto flush = [&] {
     eq_occupied_[it] += occupied;
     eq_free_[it] += free;
-  }
-  eq_buffer_.clear();
-
-  std::sort(cap_buffer_.begin(), cap_buffer_.end(),
-            [](const CapEntry& a, const CapEntry& b) {
-              return a.machine < b.machine;
-            });
-  for (std::size_t i = 0; i < cap_buffer_.size();) {
-    const std::size_t chunk = cap_buffer_[i].machine / per_chunk;
-    double ram_mb = 0.0;
-    double disk_gb = 0.0;
-    for (; i < cap_buffer_.size() &&
-           cap_buffer_[i].machine / per_chunk == chunk;
-         ++i) {
-      ram_mb += cap_buffer_[i].ram_mb;
-      disk_gb += cap_buffer_[i].disk_gb;
-    }
     cap_ram_mb_[it] += ram_mb;
     cap_disk_gb_[it] += disk_gb;
+    occupied = free = ram_mb = disk_gb = 0.0;
+  };
+  std::size_t chunk = touched_lo_ / per_chunk;
+  for (std::uint32_t m = touched_lo_; m <= touched_hi_; ++m) {
+    Slot& slot = slots_[m];
+    if (slot.head == kNoEntry) continue;
+    if (m / per_chunk != chunk) {
+      flush();
+      chunk = m / per_chunk;
+    }
+    for (std::uint32_t e = slot.head; e != kNoEntry; e = entries_[e].next) {
+      const Entry& entry = entries_[e];
+      occupied += entry.eq_occupied;
+      free += entry.eq_free;
+      ram_mb += entry.ram_mb;
+      disk_gb += entry.disk_gb;
+    }
+    slot = Slot{};
   }
-  cap_buffer_.clear();
+  flush();
+  entries_.clear();
+  touched_lo_ = kNoEntry;
+  touched_hi_ = 0;
 }
 
 StreamingAnalysisResult StreamingAnalysis::Finish(

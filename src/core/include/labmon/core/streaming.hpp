@@ -86,6 +86,10 @@ struct PipelineStats {
   std::uint64_t fold_ring_pop_stalls = 0;   ///< fold waits (ring empty)
   double fold_ring_push_wait_s = 0.0;
   double fold_ring_pop_wait_s = 0.0;
+  /// Peak merged blocks waiting between merge and fold (bounded by the
+  /// ring capacity): how far the fold lags the merge, which sets how many
+  /// merged blocks replay holds in memory.
+  std::size_t fold_ring_peak_occupancy = 0;
   /// Peak blocks buffered inside the merge frontier (merge lag).
   std::size_t merge_lag_peak_blocks = 0;
   std::uint64_t arena_acquired = 0;  ///< block acquisitions (all pools)

@@ -800,6 +800,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
       static_cast<double>(fold_stats.push_wait_ns) * 1e-9;
   pipe.fold_ring_pop_wait_s =
       static_cast<double>(fold_stats.pop_wait_ns) * 1e-9;
+  pipe.fold_ring_peak_occupancy = fold_stats.peak_occupancy;
   pipe.merge_lag_peak_blocks = merge_lag_peak;
   {
     util::RecyclingPool<trace::TraceBlock>::Stats merged_stats =

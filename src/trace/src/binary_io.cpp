@@ -15,25 +15,37 @@ namespace {
 constexpr char kMagic[] = "LMTR1";
 constexpr std::size_t kMagicLen = 5;
 
-/// Per-machine previous-sample state used for delta coding.
+/// Per-machine previous-sample state used for delta coding. Deltas are
+/// taken in u64 wraparound, so every 64-bit column value round-trips
+/// without signed overflow; wherever the signed difference does not
+/// overflow, the written delta (and so every byte) is the same.
 struct Previous {
-  std::int64_t t = 0;
-  std::int64_t iteration = 0;
-  std::int64_t boot_time = 0;
-  std::int64_t uptime_s = 0;
-  std::int64_t idle_cs = 0;  ///< idle seconds in centiseconds (exact: the
-                             ///< probe emits 2 decimals)
-  std::int64_t ram_mb = 0;
-  std::int64_t mem = 0;
-  std::int64_t swap = 0;
-  std::int64_t disk_total = 0;
-  std::int64_t disk_free = 0;
-  std::int64_t poh = 0;
-  std::int64_t cycles = 0;
-  std::int64_t sent = 0;
-  std::int64_t recv = 0;
-  std::int64_t logon = 0;
+  std::uint64_t t = 0;
+  std::uint64_t iteration = 0;
+  std::uint64_t boot_time = 0;
+  std::uint64_t uptime_s = 0;
+  std::uint64_t idle_cs = 0;  ///< idle seconds in centiseconds (exact: the
+                              ///< probe emits 2 decimals)
+  std::uint64_t ram_mb = 0;
+  std::uint64_t mem = 0;
+  std::uint64_t swap = 0;
+  std::uint64_t disk_total = 0;
+  std::uint64_t disk_free = 0;
+  std::uint64_t poh = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t recv = 0;
+  std::uint64_t logon = 0;
 };
+
+/// Writes `value - prev` (u64 wraparound) as a zigzag varint and returns
+/// `value` as the next `prev`.
+template <typename T>
+std::uint64_t PutDelta(std::string& out, T value, std::uint64_t prev) {
+  const auto v = static_cast<std::uint64_t>(value);
+  util::PutSignedVarint(out, static_cast<std::int64_t>(v - prev));
+  return v;
+}
 
 std::int64_t IdleCentiseconds(double idle_s) {
   return static_cast<std::int64_t>(idle_s * 100.0 + 0.5);
@@ -83,63 +95,36 @@ std::string SerializeTrace(const TraceStore& store) {
     if (s.machine >= prev.size()) prev.resize(s.machine + 1);
     Previous& p = prev[s.machine];
     util::PutVarint(out, s.machine);
-    util::PutSignedVarint(out, static_cast<std::int64_t>(s.iteration) -
-                                   p.iteration);
-    util::PutSignedVarint(out, s.t - p.t);
-    util::PutSignedVarint(out, s.boot_time - p.boot_time);
-    util::PutSignedVarint(out, s.uptime_s - p.uptime_s);
-    const std::int64_t idle_cs = IdleCentiseconds(s.cpu_idle_s);
-    util::PutSignedVarint(out, idle_cs - p.idle_cs);
-    util::PutSignedVarint(out, s.ram_mb - p.ram_mb);
-    util::PutSignedVarint(out, s.mem_load_pct - p.mem);
-    util::PutSignedVarint(out, s.swap_load_pct - p.swap);
-    util::PutSignedVarint(out,
-                          static_cast<std::int64_t>(s.disk_total_b) -
-                              p.disk_total);
-    util::PutSignedVarint(out,
-                          static_cast<std::int64_t>(s.disk_free_b) -
-                              p.disk_free);
-    util::PutSignedVarint(
-        out, static_cast<std::int64_t>(s.smart_power_on_hours) - p.poh);
-    util::PutSignedVarint(
-        out, static_cast<std::int64_t>(s.smart_power_cycles) - p.cycles);
-    util::PutSignedVarint(out,
-                          static_cast<std::int64_t>(s.net_sent_b) - p.sent);
-    util::PutSignedVarint(out,
-                          static_cast<std::int64_t>(s.net_recv_b) - p.recv);
+    p.iteration = PutDelta(out, s.iteration, p.iteration);
+    p.t = PutDelta(out, s.t, p.t);
+    p.boot_time = PutDelta(out, s.boot_time, p.boot_time);
+    p.uptime_s = PutDelta(out, s.uptime_s, p.uptime_s);
+    p.idle_cs = PutDelta(out, IdleCentiseconds(s.cpu_idle_s), p.idle_cs);
+    p.ram_mb = PutDelta(out, s.ram_mb, p.ram_mb);
+    p.mem = PutDelta(out, s.mem_load_pct, p.mem);
+    p.swap = PutDelta(out, s.swap_load_pct, p.swap);
+    p.disk_total = PutDelta(out, s.disk_total_b, p.disk_total);
+    p.disk_free = PutDelta(out, s.disk_free_b, p.disk_free);
+    p.poh = PutDelta(out, s.smart_power_on_hours, p.poh);
+    p.cycles = PutDelta(out, s.smart_power_cycles, p.cycles);
+    p.sent = PutDelta(out, s.net_sent_b, p.sent);
+    p.recv = PutDelta(out, s.net_recv_b, p.recv);
     if (s.has_session) {
       util::PutVarint(out, 1 + store.columns().user_id[i]);
-      util::PutSignedVarint(out, s.session_logon - p.logon);
-      p.logon = s.session_logon;
+      p.logon = PutDelta(out, s.session_logon, p.logon);
     } else {
       util::PutVarint(out, 0);
     }
-    p.iteration = s.iteration;
-    p.t = s.t;
-    p.boot_time = s.boot_time;
-    p.uptime_s = s.uptime_s;
-    p.idle_cs = idle_cs;
-    p.ram_mb = s.ram_mb;
-    p.mem = s.mem_load_pct;
-    p.swap = s.swap_load_pct;
-    p.disk_total = static_cast<std::int64_t>(s.disk_total_b);
-    p.disk_free = static_cast<std::int64_t>(s.disk_free_b);
-    p.poh = static_cast<std::int64_t>(s.smart_power_on_hours);
-    p.cycles = static_cast<std::int64_t>(s.smart_power_cycles);
-    p.sent = static_cast<std::int64_t>(s.net_sent_b);
-    p.recv = static_cast<std::int64_t>(s.net_recv_b);
   }
 
   // Iteration metadata (delta against the previous iteration row).
-  std::int64_t prev_start = 0;
-  std::int64_t prev_end = 0;
+  std::uint64_t prev_start = 0;
+  std::uint64_t prev_end = 0;
   for (const auto& it : store.iterations()) {
-    util::PutSignedVarint(out, it.start_t - prev_start);
-    util::PutSignedVarint(out, it.end_t - prev_end);
+    prev_start = PutDelta(out, it.start_t, prev_start);
+    prev_end = PutDelta(out, it.end_t, prev_end);
     util::PutVarint(out, it.attempts);
     util::PutVarint(out, it.successes);
-    prev_start = it.start_t;
-    prev_end = it.end_t;
   }
   CountTraceIo("write", out.size(), store.size());
   return out;
@@ -188,10 +173,10 @@ util::Result<TraceStore> DeserializeTrace(std::string_view bytes) {
 
     SampleRecord s;
     s.machine = static_cast<std::uint32_t>(*machine);
-    const auto read = [&](std::int64_t& base) -> bool {
+    const auto read = [&](std::uint64_t& base) -> bool {
       const auto delta = reader.ReadSigned();
       if (!delta) return false;
-      base += *delta;
+      base += static_cast<std::uint64_t>(*delta);
       return true;
     };
     if (!read(p.iteration) || !read(p.t) || !read(p.boot_time) ||
@@ -202,19 +187,20 @@ util::Result<TraceStore> DeserializeTrace(std::string_view bytes) {
       return R::Err("truncated sample fields");
     }
     s.iteration = static_cast<std::uint32_t>(p.iteration);
-    s.t = p.t;
-    s.boot_time = p.boot_time;
-    s.uptime_s = p.uptime_s;
-    s.cpu_idle_s = static_cast<double>(p.idle_cs) / 100.0;
+    s.t = static_cast<std::int64_t>(p.t);
+    s.boot_time = static_cast<std::int64_t>(p.boot_time);
+    s.uptime_s = static_cast<std::int64_t>(p.uptime_s);
+    s.cpu_idle_s =
+        static_cast<double>(static_cast<std::int64_t>(p.idle_cs)) / 100.0;
     s.ram_mb = static_cast<std::uint16_t>(p.ram_mb);
     s.mem_load_pct = static_cast<std::uint8_t>(p.mem);
     s.swap_load_pct = static_cast<std::uint8_t>(p.swap);
-    s.disk_total_b = static_cast<std::uint64_t>(p.disk_total);
-    s.disk_free_b = static_cast<std::uint64_t>(p.disk_free);
-    s.smart_power_on_hours = static_cast<std::uint64_t>(p.poh);
-    s.smart_power_cycles = static_cast<std::uint64_t>(p.cycles);
-    s.net_sent_b = static_cast<std::uint64_t>(p.sent);
-    s.net_recv_b = static_cast<std::uint64_t>(p.recv);
+    s.disk_total_b = p.disk_total;
+    s.disk_free_b = p.disk_free;
+    s.smart_power_on_hours = p.poh;
+    s.smart_power_cycles = p.cycles;
+    s.net_sent_b = p.sent;
+    s.net_recv_b = p.recv;
 
     const auto user_ref = reader.Read();
     if (!user_ref) return R::Err("truncated session field");
@@ -222,16 +208,14 @@ util::Result<TraceStore> DeserializeTrace(std::string_view bytes) {
       if (*user_ref > users.size()) return R::Err("dangling user reference");
       s.has_session = true;
       s.user = users[*user_ref - 1];
-      const auto logon_delta = reader.ReadSigned();
-      if (!logon_delta) return R::Err("truncated logon field");
-      p.logon += *logon_delta;
-      s.session_logon = p.logon;
+      if (!read(p.logon)) return R::Err("truncated logon field");
+      s.session_logon = static_cast<std::int64_t>(p.logon);
     }
     store.Append(std::move(s));
   }
 
-  std::int64_t prev_start = 0;
-  std::int64_t prev_end = 0;
+  std::uint64_t prev_start = 0;
+  std::uint64_t prev_end = 0;
   for (std::uint64_t i = 0; i < *iteration_count; ++i) {
     const auto ds = reader.ReadSigned();
     const auto de = reader.ReadSigned();
@@ -240,12 +224,12 @@ util::Result<TraceStore> DeserializeTrace(std::string_view bytes) {
     if (!ds || !de || !attempts || !successes) {
       return R::Err("truncated iteration metadata");
     }
-    prev_start += *ds;
-    prev_end += *de;
+    prev_start += static_cast<std::uint64_t>(*ds);
+    prev_end += static_cast<std::uint64_t>(*de);
     IterationInfo info;
     info.iteration = i;
-    info.start_t = prev_start;
-    info.end_t = prev_end;
+    info.start_t = static_cast<std::int64_t>(prev_start);
+    info.end_t = static_cast<std::int64_t>(prev_end);
     info.attempts = static_cast<std::uint32_t>(*attempts);
     info.successes = static_cast<std::uint32_t>(*successes);
     store.AppendIteration(info);

@@ -13,10 +13,15 @@ void TraceStore::Reserve(std::size_t samples) {
 }
 
 std::uint32_t TraceStore::InternUser(const std::string& user) {
-  const auto [it, inserted] =
-      user_ids_.emplace(user, static_cast<std::uint32_t>(users_.size()));
-  if (inserted) users_.push_back(user);
-  return it->second;
+  // Look up first: emplace would build (and free) a node holding a copy of
+  // the string before finding the key, and almost every call is a hit.
+  if (const auto it = user_ids_.find(user); it != user_ids_.end()) {
+    return it->second;
+  }
+  const auto id = static_cast<std::uint32_t>(users_.size());
+  user_ids_.emplace(user, id);
+  users_.push_back(user);
+  return id;
 }
 
 void TraceStore::Append(const SampleRecord& record) {

@@ -213,6 +213,16 @@ TEST(PipelinedDeterminismTest, DefaultsMatchMaterialisedEngine) {
   EXPECT_EQ(piped.pipeline.ring_capacity, options.ring_capacity);
 }
 
+TEST(PipelinedDeterminismTest, FoldRingPeakOccupancyIsWithinCapacity) {
+  core::StreamingOptions options;
+  options.block_samples = 97;  // many merged blocks per iteration front
+  options.ring_capacity = 4;
+  const auto piped = core::PipelinedExperiment::Run(GoldenConfig(2), options);
+  ASSERT_TRUE(piped.errors.empty()) << piped.errors.front();
+  EXPECT_GE(piped.pipeline.fold_ring_peak_occupancy, 1u);
+  EXPECT_LE(piped.pipeline.fold_ring_peak_occupancy, options.ring_capacity);
+}
+
 TEST(PipelinedDeterminismTest, ShardWindowBlockAndRingAreInvisible) {
   struct Case {
     int shards;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 
+#include "labmon/obs/prof.hpp"
 #include "labmon/util/parallel.hpp"
 
 namespace labmon::trace {
@@ -230,6 +232,25 @@ TEST(TraceStoreTest, UserInterningSharesIds) {
   EXPECT_EQ(store.UserOf(2), "a000042");
   EXPECT_EQ(store.UserOf(3), "");
   EXPECT_EQ(store.columns().user_id[3], TraceStore::kNoUser);
+}
+
+TEST(TraceStoreTest, InterningAKnownUserAllocatesNothing) {
+  TraceStore store(1);
+  // Longer than any small-string buffer, so a copy would allocate.
+  const std::string user = "campus-user-with-a-long-login-name-0042";
+  const obs::prof::AllocCounters before_miss = obs::prof::ThreadAllocCounters();
+  const std::uint32_t id = store.InternUserId(user);
+  const obs::prof::AllocCounters after_miss = obs::prof::ThreadAllocCounters();
+  EXPECT_GT(after_miss.count, before_miss.count);  // the counters are live
+
+  const obs::prof::AllocCounters before = obs::prof::ThreadAllocCounters();
+  const std::uint32_t again = store.InternUserId(user);
+  const obs::prof::AllocCounters after = obs::prof::ThreadAllocCounters();
+  EXPECT_EQ(again, id);
+  EXPECT_EQ(after.count, before.count);
+  EXPECT_EQ(after.bytes, before.bytes);
+  ASSERT_EQ(store.users().size(), 1u);
+  EXPECT_EQ(store.users()[0], user);
 }
 
 TEST(TraceStoreTest, RowViewGathersColumns) {
