@@ -546,6 +546,61 @@ TEST(StreamFoldTest, MultiWeekTable2Golden) {
   EXPECT_EQ(Table2Hash(RunStreamed(4096, kMultiWeekDays).table2), kGolden);
 }
 
+/// FNV-1a over every count, name and double bit pattern of the per-lab
+/// table, the headroom figures and the session-hour profile.
+std::uint64_t PerLabAndHoursHash(const PerLabResult& lab,
+                                 const SessionHourProfile& hours) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mixd = [&mix](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
+  for (const LabUsage& u : lab.usage) {
+    for (const char c : u.name) mix(static_cast<unsigned char>(c));
+    mix(u.machines);
+    mix(u.samples);
+    for (const double v : {u.uptime_pct, u.occupied_pct, u.cpu_idle_pct,
+                           u.ram_load_pct, u.free_disk_gb}) {
+      mixd(v);
+    }
+  }
+  const ResourceHeadroom& r = lab.headroom;
+  for (const double v : {r.cpu_idle_pct, r.unused_ram_pct,
+                         r.unused_ram_gb_fleet, r.free_disk_gb_per_machine,
+                         r.free_disk_tb_fleet}) {
+    mixd(v);
+  }
+  for (const MemoryClassHeadroom& c : r.by_ram_class) {
+    mix(static_cast<std::uint64_t>(c.ram_mb));
+    mix(c.samples);
+    mixd(c.unused_pct);
+    mixd(c.free_mb);
+  }
+  for (const SessionHourBin& b : hours.bins) {
+    mix(static_cast<std::uint64_t>(b.hour));
+    mix(b.samples);
+    mixd(b.mean_cpu_idle_pct);
+  }
+  mix(static_cast<std::uint64_t>(hours.first_bin_above_99));
+  return h;
+}
+
+TEST(StreamFoldTest, MultiWeekPerLabAndSessionHoursGolden) {
+  // Pinned while the per-lab and session-hour per-machine state was still
+  // full RunningStats; any change to their arithmetic moves these bits.
+  constexpr std::uint64_t kGolden = 0xa5907b6ca0654df3ULL;
+  const MaterialisedRun& materialised = Materialised(kMultiWeekDays);
+  EXPECT_EQ(PerLabAndHoursHash(materialised.per_lab.result(),
+                               materialised.session_hours.result()),
+            kGolden);
+  const StreamingAnalysisResult streamed = RunStreamed(4096, kMultiWeekDays);
+  EXPECT_EQ(PerLabAndHoursHash(streamed.per_lab, streamed.session_hours),
+            kGolden);
+}
+
 TEST(StreamFoldTest, AnomalyDetectorSeesEverySampleOnce) {
   const auto& trace = GoldenResult().trace;
   StreamingAnalysisConfig config;
