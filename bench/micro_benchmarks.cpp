@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -430,9 +431,15 @@ void BM_BlockFold(benchmark::State& state) {
   // The streaming analysis fold over sealed blocks — the hot loop of a
   // streamed campaign's merge+analysis phase. Folds the same trace the
   // pipeline benchmarks analyse, block by block, through all eight
-  // passes (block size = the spill default).
+  // passes (block size = the spill default). The argument is the lab
+  // scale: at 1 (169 machines) the fleet's weekly state fits in cache;
+  // at 8 (1,352 machines, ~42 MB of it) where each sample's bins sit
+  // decides the cost. Building and freeing the fold are not timed: they
+  // cost O(machines) page faults once per campaign, which a loop of
+  // folds in one process would otherwise count once per iteration.
   core::ExperimentConfig config;
   config.campus.days = 3;
+  config.campus.scale_labs = static_cast<int>(state.range(0));
   const auto result = bench::RunExperiment(config);
 
   analysis::StreamingAnalysisConfig fold_config;
@@ -442,18 +449,48 @@ void BM_BlockFold(benchmark::State& state) {
   fold_config.experiment_days = result.days;
 
   for (auto _ : state) {
-    analysis::StreamingAnalysis fold(fold_config);
+    state.PauseTiming();
+    auto fold = std::make_unique<analysis::StreamingAnalysis>(fold_config);
+    state.ResumeTiming();
     trace::StoreReader reader(result.trace);
     while (const trace::TraceBlock* block = reader.Next()) {
-      fold.Accept(*block);
+      fold->Accept(*block);
     }
-    auto folded = fold.Finish(result.trace);
+    auto folded = fold->Finish(result.trace);
     benchmark::DoNotOptimize(folded.table2.both.cpu_idle_pct);
+    state.PauseTiming();
+    fold.reset();
+    state.ResumeTiming();
+  }
+  state.SetLabel("x" + std::to_string(state.range(0)) + " labs");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(result.trace.size()));
+}
+BENCHMARK(BM_BlockFold)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+void BM_HashBlockSamples(benchmark::State& state) {
+  // The stream hash the fold thread folds over every merged block
+  // (HashBlockSamples), over the 3-day paper trace pre-cut into
+  // default-size blocks so only the hash is timed.
+  core::ExperimentConfig config;
+  config.campus.days = 3;
+  const auto result = bench::RunExperiment(config);
+  std::vector<trace::TraceBlock> blocks;
+  trace::StoreReader reader(result.trace);
+  while (const trace::TraceBlock* block = reader.Next()) {
+    blocks.push_back(*block);
+  }
+  for (auto _ : state) {
+    std::uint64_t h = trace::kSampleStreamHashSeed;
+    for (const trace::TraceBlock& block : blocks) {
+      h = trace::HashBlockSamples(h, block);
+    }
+    benchmark::DoNotOptimize(h);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(result.trace.size()));
 }
-BENCHMARK(BM_BlockFold)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HashBlockSamples)->Unit(benchmark::kMillisecond);
 
 void BM_SegmentRoundTrip(benchmark::State& state) {
   // Spill throughput per codec (Arg 1 = LMSG1, Arg 2 = LMSG2): write the
@@ -622,11 +659,8 @@ void BM_ColumnDeltaDecode(benchmark::State& state) {
 BENCHMARK(BM_ColumnDeltaDecode)->Unit(benchmark::kMillisecond);
 
 void BM_VarintPut(benchmark::State& state) {
-  // Varint append fast path with a fresh output string per iteration —
-  // Arg(1) passes the reserve hint the LMSG2 encoder uses, Arg(0) the
-  // plain overload, so the delta is the per-block reallocation cost the
-  // hint removes.
-  const bool hinted = state.range(0) != 0;
+  // Varint append fast path with a fresh output string per iteration, so
+  // the string's growth steps are part of the cost.
   util::Rng rng(7);
   std::vector<std::uint64_t> values(64 * 1024);
   for (auto& v : values) {
@@ -634,20 +668,13 @@ void BM_VarintPut(benchmark::State& state) {
   }
   for (auto _ : state) {
     std::string out;
-    if (hinted) {
-      for (const std::uint64_t v : values) {
-        util::PutVarint(out, v, values.size());
-      }
-    } else {
-      for (const std::uint64_t v : values) util::PutVarint(out, v);
-    }
+    for (const std::uint64_t v : values) util::PutVarint(out, v);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetLabel(hinted ? "reserve_hint" : "plain");
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(values.size()));
 }
-BENCHMARK(BM_VarintPut)->Arg(0)->Arg(1);
+BENCHMARK(BM_VarintPut);
 
 void BM_StagingRingPushPop(benchmark::State& state) {
   // Per-handoff overhead of the pipelined engine's staging ring (mutex +

@@ -67,6 +67,9 @@ class StreamingAnalysis {
  public:
   explicit StreamingAnalysis(StreamingAnalysisConfig config);
   ~StreamingAnalysis();
+  // Machine states hold views into weekly_bins_.
+  StreamingAnalysis(const StreamingAnalysis&) = delete;
+  StreamingAnalysis& operator=(const StreamingAnalysis&) = delete;
 
   /// Optional: forward every sample / derived interval to a detector
   /// (not owned; must outlive the fold).
@@ -112,6 +115,11 @@ class StreamingAnalysis {
   PerLabPass lab_pass_;
   CapacityPass cap_pass_;
 
+  /// Every machine's weekly bins, bin-major and machine-minor: one
+  /// iteration's samples, probed at about the same time of week, update
+  /// one run of adjacent bins (~65 KB at 1,352 machines) instead of a cold
+  /// 48-byte bin 31.5 KiB from the previous machine's.
+  std::vector<WeeklyPass::MachineAcc::Bin> weekly_bins_;
   std::vector<MachineState> machines_;
   AnomalyDetector* detector_ = nullptr;
   std::uint64_t samples_ = 0;

@@ -23,11 +23,20 @@
 // the recycle callback once fully consumed — the pipelined engine returns
 // them to per-shard pools) or borrowed views (the pull model's reader
 // scratch, valid until the caller invalidates it after Advance returns).
+//
+// Merged blocks are built in place, column by column per front, straight
+// from the sorted keys into the TraceBlock that is emitted (no TraceStore
+// builder, no per-machine index, no copy at seal). User ids go through a
+// per-source remap that interns each (source block, user) pair once per
+// merged block, in merged order, so the block's user table and ids are
+// exactly those a per-row re-intern would give.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "labmon/trace/block.hpp"
@@ -45,6 +54,9 @@ class MergeFrontier {
   using RecycleFn =
       util::FunctionRef<void(std::size_t part, std::unique_ptr<TraceBlock>)>;
 
+  /// `machine_count` is the merged fleet's size; merged blocks carry no
+  /// per-machine state, so only part_count and block_samples shape the
+  /// merge.
   MergeFrontier(std::size_t part_count, std::size_t machine_count,
                 std::size_t block_samples);
 
@@ -90,6 +102,7 @@ class MergeFrontier {
   [[nodiscard]] std::uint64_t blocks() const noexcept { return blocks_; }
 
  private:
+  static constexpr std::uint32_t kNoSource = 0xffffffffu;
   struct Slot {
     std::unique_ptr<TraceBlock> owned;  ///< null for borrowed views
     const TraceBlock* view = nullptr;   ///< always valid while buffered
@@ -98,16 +111,27 @@ class MergeFrontier {
     std::deque<Slot> slots;
     std::size_t idx = 0;     ///< sample cursor within the head block
     std::size_t it_idx = 0;  ///< iteration cursor within the head block
+    std::uint32_t source = kNoSource;  ///< sources_ entry of the head block
     bool done = false;
   };
-  /// A staged sample row: sort key + source location. `src` is stable for
-  /// the whole batch (heap block or caller-held view); consumed slots are
-  /// retired only after the batch's append phase.
+  /// A buffered block that has contributed keys, with its block-local →
+  /// merged user-id remap. The remap is valid for merged block number
+  /// `remap_block` only (each merged block has its own user table).
+  struct Source {
+    const TraceBlock* block = nullptr;
+    std::vector<std::uint32_t> remap;
+    std::uint64_t remap_block = ~std::uint64_t{0};
+  };
+  /// A staged sample row: sort key + source location (`block` is
+  /// sources_[source].block, kept here to save the gather an indirection).
+  /// Both stay valid for the whole batch: consumed slots and their sources
+  /// are retired only after the batch's append phase.
   struct Key {
     std::int64_t t;
     std::uint32_t machine;
-    const TraceBlock* src;
     std::uint32_t idx;
+    const TraceBlock* block;
+    std::uint32_t source;
   };
   enum class Scan : std::uint8_t { kReady, kStalled, kExhausted };
 
@@ -118,12 +142,21 @@ class MergeFrontier {
   /// Gathers the next front's keys into batch_keys_ (consuming cursors);
   /// records the key range and the front's IterationInfo (if any).
   void GatherFront();
+  /// Appends the sorted keys [begin, end) onto sealed_, column by column.
+  void AppendFront(std::size_t begin, std::size_t end);
+  /// Merged id of `source`'s block-local user `uid`, interning on first use.
+  std::uint32_t MergedUserId(std::uint32_t source, std::uint32_t uid);
   void Seal(EmitFn emit);
 
   std::vector<Part> parts_;
   const std::size_t block_samples_;
-  TraceStore builder_;
+  /// The merged block under construction, emitted as is at seal.
   TraceBlock sealed_;
+  std::unordered_map<std::string, std::uint32_t> user_ids_;  ///< of sealed_
+  std::vector<Source> sources_;
+  std::vector<std::uint32_t> free_sources_;
+  /// Sources whose block retired this batch, freed after its append phase.
+  std::vector<std::uint32_t> retired_sources_;
 
   std::uint64_t next_front_ = 0;
   // Readiness scan state, persisted across stalls: parts below scan_pos_

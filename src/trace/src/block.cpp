@@ -1,6 +1,7 @@
 #include "labmon/trace/block.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <type_traits>
 
@@ -8,22 +9,38 @@ namespace labmon::trace {
 
 namespace {
 
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
+/// kFnvPrimePow[k] = kFnvPrime^k (mod 2^64).
+constexpr std::array<std::uint64_t, 9> kFnvPrimePow = [] {
+  std::array<std::uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (std::size_t k = 1; k < pow.size(); ++k) pow[k] = pow[k - 1] * kFnvPrime;
+  return pow;
+}();
+
 inline std::uint64_t FnvBytes(std::uint64_t h, const void* data,
                               std::size_t n) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
 }
 
+/// FNV-1a over v's eight little-endian bytes. A zero byte's step is just
+/// `h *= prime` (h ^ 0 == h), so once the remaining high bytes are all
+/// zero their k steps collapse into one multiply by prime^k. Most column
+/// values are small, which turns eight serial multiplies into two or
+/// three.
 inline std::uint64_t FnvU64(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<unsigned char>(v >> (8 * i));
-    h *= 0x100000001b3ull;
+  std::size_t bytes = 0;
+  for (; v != 0; v >>= 8, ++bytes) {
+    h ^= v & 0xffu;
+    h *= kFnvPrime;
   }
-  return h;
+  return h * kFnvPrimePow[8 - bytes];
 }
 
 template <typename T>

@@ -1,6 +1,7 @@
 #include "labmon/trace/merge_frontier.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "labmon/util/parallel.hpp"
@@ -17,11 +18,10 @@ constexpr std::size_t kParallelSortThreshold = 4096;
 }  // namespace
 
 MergeFrontier::MergeFrontier(std::size_t part_count,
-                             std::size_t machine_count,
+                             std::size_t /*machine_count*/,
                              std::size_t block_samples)
     : parts_(part_count),
-      block_samples_(std::max<std::size_t>(1, block_samples)),
-      builder_(machine_count) {}
+      block_samples_(std::max<std::size_t>(1, block_samples)) {}
 
 void MergeFrontier::Append(std::size_t part,
                            std::unique_ptr<TraceBlock> block) {
@@ -53,6 +53,10 @@ void MergeFrontier::RetireExhausted(std::size_t part) {
     p.slots.pop_front();
     p.idx = 0;
     p.it_idx = 0;
+    if (p.source != kNoSource) {
+      retired_sources_.push_back(p.source);
+      p.source = kNoSource;
+    }
     --buffered_blocks_;
     if (slot.owned) retired_.emplace_back(part, std::move(slot.owned));
   }
@@ -110,10 +114,21 @@ void MergeFrontier::GatherFront() {
     info.attempts += pi.attempts;
     info.successes += pi.successes;
     const TraceStore::Columns& cols = block.cols;
+    if (part.source == kNoSource && part.idx < block.size()) {
+      if (free_sources_.empty()) {
+        part.source = static_cast<std::uint32_t>(sources_.size());
+        sources_.emplace_back();
+      } else {
+        part.source = free_sources_.back();
+        free_sources_.pop_back();
+      }
+      sources_[part.source].block = &block;
+      sources_[part.source].remap_block = ~std::uint64_t{0};
+    }
     while (part.idx < block.size() && cols.iteration[part.idx] == it) {
       batch_keys_.push_back({cols.t[part.idx], cols.machine[part.idx],
-                             &block,
-                             static_cast<std::uint32_t>(part.idx)});
+                             static_cast<std::uint32_t>(part.idx), &block,
+                             part.source});
       ++part.idx;
     }
   }
@@ -127,14 +142,63 @@ void MergeFrontier::GatherFront() {
   scan_content_ = false;
 }
 
+std::uint32_t MergeFrontier::MergedUserId(std::uint32_t source,
+                                          std::uint32_t uid) {
+  Source& src = sources_[source];
+  if (src.remap_block != blocks_) {
+    src.remap.assign(src.block->users.size(), TraceStore::kNoUser);
+    src.remap_block = blocks_;
+  }
+  std::uint32_t& mapped = src.remap[uid];
+  if (mapped == TraceStore::kNoUser) {
+    const std::string& user = src.block->users[uid];
+    if (const auto it = user_ids_.find(user); it != user_ids_.end()) {
+      mapped = it->second;
+    } else {
+      mapped = static_cast<std::uint32_t>(sealed_.users.size());
+      user_ids_.emplace(user, mapped);
+      sealed_.users.push_back(user);
+    }
+  }
+  return mapped;
+}
+
+void MergeFrontier::AppendFront(std::size_t begin, std::size_t end) {
+  using Columns = TraceStore::Columns;
+  const Key* keys = batch_keys_.data() + begin;
+  const std::size_t n = end - begin;
+  Columns& dst = sealed_.cols;
+  const std::size_t base = sealed_.size();
+  TraceStore::ForEachColumn([&](auto member) {
+    auto& out = dst.*member;
+    out.resize(base + n);
+    if constexpr (std::is_same_v<decltype(member),
+                                 std::vector<std::uint32_t> Columns::*>) {
+      if (member == &Columns::user_id) return;  // translated below
+    }
+    auto* o = out.data() + base;
+    for (std::size_t k = 0; k < n; ++k) {
+      o[k] = (keys[k].block->cols.*member)[keys[k].idx];
+    }
+  });
+  // Interning in merged order gives each user the id a per-row re-intern
+  // would; a session-free row keeps kNoUser whatever its source holds.
+  std::uint32_t* user_id = dst.user_id.data() + base;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Columns& src = keys[k].block->cols;
+    std::uint32_t uid = src.user_id[keys[k].idx];
+    if (uid != TraceStore::kNoUser) uid = MergedUserId(keys[k].source, uid);
+    user_id[k] = src.has_session[keys[k].idx] != 0 ? uid : TraceStore::kNoUser;
+  }
+}
+
 void MergeFrontier::Seal(EmitFn emit) {
-  if (builder_.size() == 0) return;
-  sealed_.AssignFrom(builder_);
-  sealed_.iterations.clear();
+  if (sealed_.empty()) return;
   samples_ += sealed_.size();
-  ++blocks_;
+  ++blocks_;  // every source's remap is now stale
   emit(sealed_);
-  builder_.ClearSamples();
+  sealed_.Clear();
+  user_ids_.clear();
 }
 
 std::size_t MergeFrontier::Advance(EmitFn emit, RecycleFn recycle,
@@ -177,26 +241,21 @@ std::size_t MergeFrontier::Advance(EmitFn emit, RecycleFn recycle,
       // one-front-at-a-time merge would put them.
       for (std::size_t f = 0; f < batch_ranges_.size(); ++f) {
         const auto [begin, end] = batch_ranges_[f];
-        for (std::size_t k = begin; k < end; ++k) {
-          const Key& key = batch_keys_[k];
-          const TraceBlock& src = *key.src;
-          std::uint32_t uid = src.cols.user_id[key.idx];
-          if (uid != TraceStore::kNoUser) {
-            uid = builder_.InternUserId(src.users[uid]);
-          }
-          builder_.AppendFrom(src.cols, key.idx, uid);
-        }
+        AppendFront(begin, end);
         if (batch_has_info_[f]) iterations_.push_back(batch_infos_[f]);
         ++fronts_merged;
-        if (builder_.size() >= block_samples_) Seal(emit);
+        if (sealed_.size() >= block_samples_) Seal(emit);
       }
     }
-    // Consumed owned blocks are safe to recycle once their rows are
-    // appended (keys referenced them during the batch).
+    // Consumed owned blocks (and their sources) are safe to recycle once
+    // their rows are appended (keys referenced them during the batch).
     for (auto& [part, block] : retired_) {
       recycle(part, std::move(block));
     }
     retired_.clear();
+    free_sources_.insert(free_sources_.end(), retired_sources_.begin(),
+                         retired_sources_.end());
+    retired_sources_.clear();
     if (scan == Scan::kExhausted) {
       Seal(emit);  // trailing partial block
       finished_ = true;

@@ -14,19 +14,8 @@ namespace labmon::util {
 /// Appends an unsigned LEB128 varint (1–10 bytes).
 void PutVarint(std::string& out, std::uint64_t value);
 
-/// Same, with a reserve hint: when the buffer is within one varint of its
-/// capacity, it grows by at least `reserve_hint` bytes in one step. Encoder
-/// hot loops that append millions of varints per block pass the expected
-/// section size so the buffer is sized once instead of reallocating along
-/// the string's default growth curve.
-void PutVarint(std::string& out, std::uint64_t value, std::size_t reserve_hint);
-
 /// Zigzag-maps a signed value and appends it as a varint.
 void PutSignedVarint(std::string& out, std::int64_t value);
-
-/// Zigzag + reserve hint (see the PutVarint overload).
-void PutSignedVarint(std::string& out, std::int64_t value,
-                     std::size_t reserve_hint);
 
 /// Zigzag encode/decode.
 [[nodiscard]] constexpr std::uint64_t ZigzagEncode(std::int64_t v) noexcept {

@@ -25,23 +25,8 @@ void PutVarint(std::string& out, std::uint64_t value) {
   AppendVarint(out, value);
 }
 
-void PutVarint(std::string& out, std::uint64_t value,
-               std::size_t reserve_hint) {
-  if (out.capacity() - out.size() < kMaxVarintBytes) {
-    out.reserve(out.size() +
-                (reserve_hint > kMaxVarintBytes ? reserve_hint
-                                                : kMaxVarintBytes));
-  }
-  AppendVarint(out, value);
-}
-
 void PutSignedVarint(std::string& out, std::int64_t value) {
   AppendVarint(out, ZigzagEncode(value));
-}
-
-void PutSignedVarint(std::string& out, std::int64_t value,
-                     std::size_t reserve_hint) {
-  PutVarint(out, ZigzagEncode(value), reserve_hint);
 }
 
 std::optional<std::uint64_t> VarintReader::Read() noexcept {

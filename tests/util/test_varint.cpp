@@ -111,19 +111,6 @@ TEST(VarintTest, StringViewReaderMatchesStringReader) {
   EXPECT_TRUE(reader.AtEnd());
 }
 
-TEST(VarintTest, ReserveHintOverloadEncodesIdenticallyAndPreallocates) {
-  std::string plain;
-  std::string hinted;
-  for (std::uint64_t v = 0; v < 4000; v = v * 3 + 1) {
-    PutVarint(plain, v);
-    PutVarint(hinted, v, 4096);
-    PutSignedVarint(plain, -static_cast<std::int64_t>(v));
-    PutSignedVarint(hinted, -static_cast<std::int64_t>(v), 4096);
-  }
-  EXPECT_EQ(plain, hinted);
-  EXPECT_GE(hinted.capacity(), 4096u);  // one up-front growth step
-}
-
 TEST(VarintTest, RandomisedRoundTrip) {
   Rng rng(99);
   std::string out;
