@@ -537,26 +537,34 @@ void BM_SegmentRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentRoundTrip)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
-void BM_SegmentAppendWindowBlocks(benchmark::State& state) {
-  // LMSG2 spill in the block shape the pipelined engine writes: the 2-day
-  // paper trace cut into one block per lab per 16-iteration window (the
-  // default StreamingOptions::window_iterations), each lab appending its
-  // blocks in window order to a segment of its own. Blocks hold ~100
-  // samples, so per-block fixed costs show here, unlike in the one-block
-  // BM_SegmentRoundTrip / BM_ColumnDeltaEncode. items/s = samples/s.
+/// The 2-day paper trace cut the way the pipelined engine seals it: one
+/// block per lab per 16-iteration window (the default
+/// StreamingOptions::window_iterations). Blocks hold ~100 samples, so
+/// per-block fixed costs show, unlike in the one-block BM_SegmentRoundTrip
+/// / BM_ColumnDeltaEncode.
+struct WindowBlocks {
+  std::size_t machine_count = 0;
+  std::size_t samples = 0;
+  std::size_t windows = 0;
+  std::vector<std::vector<trace::TraceStore>> blocks;  // [lab][window]
+};
+
+WindowBlocks CutWindowBlocks() {
   constexpr std::size_t kWindow = 16;
   core::ExperimentConfig config;
   config.campus.days = 2;
   const auto result = bench::RunExperiment(config);
   const trace::TraceStore& trace = result.trace;
-  const std::size_t machine_count = trace.machine_count();
+  WindowBlocks out;
+  out.machine_count = trace.machine_count();
+  out.samples = trace.size();
   std::size_t iterations = trace.iterations().size();
   for (const std::uint32_t it : trace.columns().iteration) {
     iterations = std::max<std::size_t>(iterations, it + std::size_t{1});
   }
-  const std::size_t windows = (iterations + kWindow - 1) / kWindow;
+  out.windows = (iterations + kWindow - 1) / kWindow;
 
-  std::vector<std::size_t> lab_of(machine_count, 0);
+  std::vector<std::size_t> lab_of(out.machine_count, 0);
   std::size_t first = 0;
   for (std::size_t lab = 0; lab < result.labs.size(); ++lab) {
     for (std::size_t k = 0; k < result.labs[lab].machine_count; ++k) {
@@ -564,11 +572,10 @@ void BM_SegmentAppendWindowBlocks(benchmark::State& state) {
     }
     first += result.labs[lab].machine_count;
   }
-  // blocks[lab][window]
-  std::vector<std::vector<trace::TraceStore>> blocks(result.labs.size());
-  for (auto& lab_blocks : blocks) {
-    for (std::size_t w = 0; w < windows; ++w) {
-      lab_blocks.emplace_back(machine_count);
+  out.blocks.resize(result.labs.size());
+  for (auto& lab_blocks : out.blocks) {
+    for (std::size_t w = 0; w < out.windows; ++w) {
+      lab_blocks.emplace_back(out.machine_count);
       for (std::size_t k = w * kWindow;
            k < std::min(trace.iterations().size(), (w + 1) * kWindow); ++k) {
         lab_blocks.back().AppendIteration(trace.iterations()[k]);
@@ -577,25 +584,37 @@ void BM_SegmentAppendWindowBlocks(benchmark::State& state) {
   }
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const std::size_t w = trace.columns().iteration[i] / kWindow;
-    blocks[lab_of[trace.columns().machine[i]]][w].Append(trace.Sample(i));
+    out.blocks[lab_of[trace.columns().machine[i]]][w].Append(trace.Sample(i));
   }
+  return out;
+}
 
+/// Writes each lab's window blocks, in window order, to a segment of its
+/// own under `dir`; false on any write error.
+bool WriteWindowSegments(const WindowBlocks& wb,
+                         const std::filesystem::path& dir) {
+  for (std::size_t lab = 0; lab < wb.blocks.size(); ++lab) {
+    auto writer = trace::SegmentWriter::Open(
+        (dir / ("lab" + std::to_string(lab) + ".lmsg")).string(),
+        wb.machine_count, trace::SpillCodecId::kLmsg2);
+    if (!writer.ok()) return false;
+    for (const trace::TraceStore& block : wb.blocks[lab]) {
+      if (!writer.value().Append(block).ok()) return false;
+    }
+    if (!writer.value().Finish().ok()) return false;
+  }
+  return true;
+}
+
+void BM_SegmentAppendWindowBlocks(benchmark::State& state) {
+  // LMSG2 spill of the window blocks: each lab appends its blocks in
+  // window order to a segment of its own. items/s = samples/s.
+  const WindowBlocks wb = CutWindowBlocks();
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "labmon_bm_window_blocks";
   std::filesystem::create_directories(dir);
-  bool ok = true;
   for (auto _ : state) {
-    for (std::size_t lab = 0; ok && lab < blocks.size(); ++lab) {
-      auto writer = trace::SegmentWriter::Open(
-          (dir / ("lab" + std::to_string(lab) + ".lmsg")).string(),
-          machine_count, trace::SpillCodecId::kLmsg2);
-      ok = writer.ok();
-      for (std::size_t w = 0; ok && w < windows; ++w) {
-        ok = writer.value().Append(blocks[lab][w]).ok();
-      }
-      ok = ok && writer.value().Finish().ok();
-    }
-    if (!ok) {
+    if (!WriteWindowSegments(wb, dir)) {
       state.SkipWithError("segment write failed");
       break;
     }
@@ -603,11 +622,52 @@ void BM_SegmentAppendWindowBlocks(benchmark::State& state) {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(trace.size()));
+                          static_cast<std::int64_t>(wb.samples));
   state.counters["blocks"] =
-      static_cast<double>(blocks.size() * windows);
+      static_cast<double>(wb.blocks.size() * wb.windows);
 }
 BENCHMARK(BM_SegmentAppendWindowBlocks)->Unit(benchmark::kMillisecond);
+
+void BM_SegmentDecodeWindowBlocks(benchmark::State& state) {
+  // The read side of BM_SegmentAppendWindowBlocks, the way a resumed run
+  // replays it: every lab's segment open at once, blocks read window by
+  // window round-robin over the labs (the order the replay's (iteration,
+  // lab) heap yields for window-aligned segments), each into one reused
+  // block. Covers framing, checksum and LMSG2 decode; the segments are
+  // written once, outside the timed loop. items/s = samples/s.
+  const WindowBlocks wb = CutWindowBlocks();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "labmon_bm_decode_blocks";
+  std::filesystem::create_directories(dir);
+  bool ok = WriteWindowSegments(wb, dir);
+  trace::TraceBlock block;
+  for (auto _ : state) {
+    std::vector<trace::SegmentReader> readers;
+    for (std::size_t lab = 0; ok && lab < wb.blocks.size(); ++lab) {
+      auto reader = trace::SegmentReader::Open(
+          (dir / ("lab" + std::to_string(lab) + ".lmsg")).string());
+      ok = reader.ok();
+      if (ok) readers.push_back(std::move(reader).value());
+    }
+    for (std::size_t w = 0; ok && w < wb.windows; ++w) {
+      for (trace::SegmentReader& reader : readers) {
+        ok = ok && reader.Next(block);
+      }
+      benchmark::DoNotOptimize(block.cols.t.data());
+    }
+    if (!ok) {
+      state.SkipWithError("segment read failed");
+      break;
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(wb.samples));
+  state.counters["blocks"] =
+      static_cast<double>(wb.blocks.size() * wb.windows);
+}
+BENCHMARK(BM_SegmentDecodeWindowBlocks)->Unit(benchmark::kMillisecond);
 
 void BM_ColumnDeltaEncode(benchmark::State& state) {
   // LMSG2 per-column encode (delta/zigzag transforms + RLE + varint) on a

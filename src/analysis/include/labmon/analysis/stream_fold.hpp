@@ -81,10 +81,14 @@ class StreamingAnalysis {
   void Accept(const trace::TraceBlock& block);
 
   /// Pipelined entry point: pops merged blocks off `ring` until it closes,
-  /// folding the stream hash (seed trace::kSampleStreamHashSeed) and
-  /// Accept()ing each block, then handing the emptied block to `recycle`
-  /// (may be null). Runs on the fold stage's thread; returns the final
-  /// stream hash. Blocks consumed are counted in samples() as usual.
+  /// Accept()ing each block and folding it into the stream hash (seeded
+  /// with `hash_seed`), then handing the emptied block to `recycle` (may
+  /// be null). While blocks queue behind the one popped, a helper thread
+  /// hashes it beside Accept and is joined before the block is recycled.
+  /// Runs on the fold stage's thread; returns the final stream hash, the
+  /// same as the serial HashBlockSamples chain over the blocks. The helper
+  /// is joined on every return. Blocks consumed are counted in samples()
+  /// as usual.
   [[nodiscard]] std::uint64_t ConsumeRing(
       util::StagingRing<trace::TraceBlock>& ring,
       util::RecyclingPool<trace::TraceBlock>* recycle,

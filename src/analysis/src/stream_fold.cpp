@@ -1,6 +1,9 @@
 #include "labmon/analysis/stream_fold.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 
 #include "labmon/obs/prof.hpp"
 
@@ -24,6 +27,66 @@ namespace {
   if (b == trace::LoginClass::kWithLogin) return b;
   return a == trace::LoginClass::kWithLogin ? a : b;
 }
+
+/// ConsumeRing's stream-hash thread: Start() hands it one block and the
+/// hash so far, Wait() returns the hash chained through the block. It
+/// holds one block at a time, so the FNV chain runs in stream order. The
+/// destructor finishes a started block before it joins, so the block
+/// must outlive the hasher.
+class BlockHasher {
+ public:
+  BlockHasher() : thread_([this] { Run(); }) {}
+  BlockHasher(const BlockHasher&) = delete;
+  BlockHasher& operator=(const BlockHasher&) = delete;
+  ~BlockHasher() {
+    {
+      const std::scoped_lock lock(mutex_);
+      stop_ = true;
+    }
+    wake_.notify_one();
+    thread_.join();
+  }
+
+  void Start(std::uint64_t hash, const trace::TraceBlock& block) {
+    {
+      const std::scoped_lock lock(mutex_);
+      hash_ = hash;
+      block_ = &block;
+    }
+    wake_.notify_one();
+  }
+
+  [[nodiscard]] std::uint64_t Wait() {
+    std::unique_lock lock(mutex_);
+    done_.wait(lock, [&] { return block_ == nullptr; });
+    return hash_;
+  }
+
+ private:
+  void Run() {
+    std::unique_lock lock(mutex_);
+    for (;;) {
+      wake_.wait(lock, [&] { return block_ != nullptr || stop_; });
+      if (block_ == nullptr) return;
+      const trace::TraceBlock& block = *block_;
+      const std::uint64_t seed = hash_;
+      lock.unlock();
+      const std::uint64_t hash = trace::HashBlockSamples(seed, block);
+      lock.lock();
+      hash_ = hash;
+      block_ = nullptr;
+      done_.notify_one();
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::condition_variable done_;
+  const trace::TraceBlock* block_ = nullptr;
+  bool stop_ = false;
+  std::uint64_t hash_ = 0;
+  std::thread thread_;  // last: it reads every member above
+};
 
 }  // namespace
 
@@ -88,9 +151,21 @@ std::uint64_t StreamingAnalysis::ConsumeRing(
   obs::prof::PhaseScope prof_scope(obs::prof::Phase::kFold);
   std::uint64_t hash = hash_seed;
   trace::TraceBlock block;
+  // Declared after `block`: on every exit, an exception out of Accept
+  // included, the hasher finishes the block it holds and joins first.
+  BlockHasher hasher;
   while (ring.Pop(block)) {
-    hash = trace::HashBlockSamples(hash, block);
-    Accept(block);
+    // Blocks queued behind this one mean the fold is the slow stage: the
+    // helper then takes the hash off it. A fold that keeps up hashes
+    // inline and adds no runnable thread beside the stages ahead of it.
+    if (ring.size() > 0) {
+      hasher.Start(hash, block);
+      Accept(block);
+      hash = hasher.Wait();
+    } else {
+      hash = trace::HashBlockSamples(hash, block);
+      Accept(block);
+    }
     if (recycle != nullptr) {
       block.Clear();
       recycle->Release(std::move(block));

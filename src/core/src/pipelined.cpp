@@ -11,7 +11,10 @@
 //       │  merge thread: drain → MergeFrontier::Advance
 //       ▼
 //   fold ring (StagingRing<TraceBlock>, merged blocks)
-//       │  fold thread: StreamingAnalysis::ConsumeRing (hash + Accept)
+//       │  fold thread: builds the StreamingAnalysis, then ConsumeRing:
+//       │  Accept(block) ║ hash helper thread: HashBlockSamples(block)
+//       │  (joined per block, before it is recycled) while blocks queue
+//       │  in the fold ring; hash then Accept inline while it keeps up
 //       ▼
 //   StreamingAnalysisResult + stream hash
 //
@@ -51,6 +54,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <filesystem>
 #include <functional>
 #include <limits>
@@ -427,17 +431,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
         analysis::LabKey{lab.name, lab.first, lab.count});
   }
   fold_config.experiment_days = config.campus.days;
-  analysis::StreamingAnalysis fold(std::move(fold_config));
-
+  // Built and attached by the fold thread, read after the joins.
   std::unique_ptr<analysis::AnomalyDetector> detector;
-  if (options.anomaly_threshold > 0.0) {
-    analysis::AnomalyOptions anomaly_options;
-    anomaly_options.threshold = options.anomaly_threshold;
-    anomaly_options.min_samples = options.anomaly_min_samples;
-    detector = std::make_unique<analysis::AnomalyDetector>(
-        machine_count, anomaly_options, options.anomaly_writer);
-    fold.AttachAnomalyDetector(detector.get());
-  }
 
   // Pipeline plumbing. Declared before the worker threads (which capture
   // everything by reference) and destroyed after them.
@@ -531,7 +526,19 @@ StreamingExperimentResult PipelinedExperiment::Run(
     fold_ring.Close();
   });
 
-  std::jthread fold_thread([&] {
+  const auto run_fold = [&] {
+    // The fold is built here rather than before the stages start: its
+    // weekly state (43 MB at 1,352 machines) is mapped and faulted while
+    // the first blocks are still being collected or decoded and merged.
+    analysis::StreamingAnalysis fold(std::move(fold_config));
+    if (options.anomaly_threshold > 0.0) {
+      analysis::AnomalyOptions anomaly_options;
+      anomaly_options.threshold = options.anomaly_threshold;
+      anomaly_options.min_samples = options.anomaly_min_samples;
+      detector = std::make_unique<analysis::AnomalyDetector>(
+          machine_count, anomaly_options, options.anomaly_writer);
+      fold.AttachAnomalyDetector(detector.get());
+    }
     stream_hash =
         fold.ConsumeRing(fold_ring, &merged_pool, trace::kSampleStreamHashSeed);
     // merge_clean was written before fold_ring.Close(), which happens-
@@ -543,6 +550,17 @@ StreamingExperimentResult PipelinedExperiment::Run(
     }
     analysis_result = fold.Finish(summary_store);
     fold_finished = true;
+  };
+  std::jthread fold_thread([&] {
+    try {
+      run_fold();
+    } catch (const std::exception& e) {
+      // Cancelling the fold ring releases the merge; any_failed stops
+      // collection.
+      record_error(std::string("pipelined fold failed: ") + e.what());
+      any_failed.store(true);
+      fold_ring.Cancel();
+    }
   });
 
   // Resumed labs replay their spilled segments from a dedicated reader

@@ -36,7 +36,9 @@ std::uint64_t NowNs() noexcept {
 
 /// Reads one LEB128 varint byte-at-a-time from the stream. Returns false
 /// on EOF before the first byte (clean end) with *clean_eof = true, or on
-/// truncation/overlong input with *clean_eof = false.
+/// truncation/overlong input with *clean_eof = false. Like
+/// util::VarintReader::Read, a 10th byte above 1 (bits past 64) is
+/// overlong, not silently truncated.
 bool ReadVarint(std::istream& in, std::uint64_t& value, bool& clean_eof) {
   value = 0;
   clean_eof = false;
@@ -47,6 +49,7 @@ bool ReadVarint(std::istream& in, std::uint64_t& value, bool& clean_eof) {
       clean_eof = i == 0;
       return false;
     }
+    if (i == 9 && c > 1) return false;  // overlong
     value |= static_cast<std::uint64_t>(c & 0x7f) << shift;
     if ((c & 0x80) == 0) return true;
     shift += 7;
@@ -217,7 +220,7 @@ util::Result<SegmentReader> SegmentReader::Open(const std::string& path) {
     return R::Err("unsupported segment version: " + path);
   }
   if (!ReadVarint(reader.in_, machines, clean)) {
-    return R::Err("truncated segment header: " + path);
+    return R::Err("truncated or overlong segment header: " + path);
   }
   reader.machine_count_ = static_cast<std::size_t>(machines);
   reader.first_block_pos_ = reader.in_.tellg();
@@ -246,7 +249,9 @@ bool SegmentReader::ReadBlock(TraceBlock& out) {
   std::uint64_t payload_len = 0;
   bool clean_eof = false;
   if (!ReadVarint(in_, payload_len, clean_eof)) {
-    if (!clean_eof) error_ = "truncated block length prefix: " + path_;
+    if (!clean_eof) {
+      error_ = "truncated or overlong block length prefix: " + path_;
+    }
     return false;
   }
   if (payload_len > kMaxPayloadBytes) {

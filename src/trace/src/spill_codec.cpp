@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "labmon/trace/binary_io.hpp"
@@ -127,40 +129,81 @@ char* RleEncode(const std::vector<std::uint64_t>& tokens, char* out) {
   return out;
 }
 
-bool RleDecode(util::VarintReader& r, std::size_t expected,
-               std::vector<std::uint64_t>& out, std::string& err) {
-  out.clear();
-  out.reserve(expected);
-  while (out.size() < expected) {
-    const auto header = r.Read();
-    if (!header) {
+/// Reads one varint at `p`, which must be below `end`, into `v`; returns
+/// the byte after it, or nullptr on truncated or overlong input (the
+/// checks of util::VarintReader::Read).
+inline const std::uint8_t* ReadVarint(const std::uint8_t* p,
+                                      const std::uint8_t* end,
+                                      std::uint64_t& v) noexcept {
+  if (p < end && *p < 0x80) {
+    v = *p;
+    return p + 1;
+  }
+  std::uint64_t value = 0;
+  int shift = 0;
+  while (p < end) {
+    const std::uint8_t byte = *p++;
+    if (shift >= 63 && byte > 1) return nullptr;  // overlong
+    value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      v = value;
+      return p;
+    }
+    shift += 7;
+  }
+  return nullptr;  // truncated
+}
+
+/// Decodes one column section [p, end) of n rows into `dst` in a single
+/// pass over its token groups: `convert(i, token, dst[i])` turns row i's
+/// token into its value, or returns false, having set `err`, to reject
+/// it. `dst` grows a group at a time, so a corrupt sample count costs only
+/// the rows the section really holds. The section must hold exactly n
+/// tokens and nothing after them.
+template <typename T, typename Convert>
+bool DecodeColumn(const std::uint8_t* p, const std::uint8_t* end,
+                  std::size_t n, std::vector<T>& dst, std::string& err,
+                  Convert&& convert) {
+  dst.clear();
+  std::size_t i = 0;
+  while (i < n) {
+    std::uint64_t header = 0;
+    p = ReadVarint(p, end, header);
+    if (p == nullptr) {
       err = "truncated token group header";
       return false;
     }
-    const std::uint64_t count = *header >> 1;
-    if (count == 0 || count > expected - out.size()) {
+    const std::uint64_t count = header >> 1;
+    if (count == 0 || count > n - i) {
       err = "token group overruns column";
       return false;
     }
-    if (*header & 1) {
-      const auto value = r.Read();
-      if (!value) {
+    const std::size_t stop = i + static_cast<std::size_t>(count);
+    dst.resize(stop);
+    T* const values = dst.data();
+    if (header & 1) {
+      std::uint64_t token = 0;
+      p = ReadVarint(p, end, token);
+      if (p == nullptr) {
         err = "truncated run value";
         return false;
       }
-      out.insert(out.end(), static_cast<std::size_t>(count), *value);
+      for (; i < stop; ++i) {
+        if (!convert(i, token, values[i])) return false;
+      }
     } else {
-      for (std::uint64_t k = 0; k < count; ++k) {
-        const auto value = r.Read();
-        if (!value) {
+      for (; i < stop; ++i) {
+        std::uint64_t token = 0;
+        p = ReadVarint(p, end, token);
+        if (p == nullptr) {
           err = "truncated literal token";
           return false;
         }
-        out.push_back(*value);
+        if (!convert(i, token, values[i])) return false;
       }
     }
   }
-  if (!r.AtEnd()) {
+  if (p != end) {
     err = "trailing bytes in column section";
     return false;
   }
@@ -170,7 +213,7 @@ bool RleDecode(util::VarintReader& r, std::size_t expected,
 // Per-thread scratch so the stateless codec singletons stay shareable
 // across shard workers without locking or steady-state allocation.
 struct CodecScratch {
-  std::vector<std::uint64_t> tokens;
+  std::vector<std::uint64_t> tokens;  ///< one column's tokens (encode only)
   /// Per-machine previous value (u64 wrap domain), indexed by machine id
   /// minus the block's lowest id: a block costs its own machine range,
   /// not the fleet's.
@@ -411,9 +454,11 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
   CodecScratch& s = Scratch();
   std::size_t col = 0;
   std::string err;
+  const auto* const bytes =
+      reinterpret_cast<const std::uint8_t*>(payload.data());
 
-  // Reads the next column's section into s.tokens (exactly n of them).
-  const auto read_tokens = [&]() -> bool {
+  // Decodes the next column's section into `dst` (see DecodeColumn).
+  const auto column = [&](auto& dst, auto&& convert) -> bool {
     const auto len = r.Read();
     if (!len) {
       err = "truncated section length";
@@ -423,15 +468,21 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
       err = "section overruns payload";
       return false;
     }
-    util::VarintReader section(
-        payload.substr(r.position(), static_cast<std::size_t>(*len)));
-    if (!RleDecode(section, n, s.tokens, err)) return false;
+    const std::uint8_t* const begin = bytes + r.position();
     (void)r.Skip(static_cast<std::size_t>(*len));
+    if (!DecodeColumn(begin, begin + *len, n, dst, err, convert)) {
+      return false;
+    }
+    ++col;
     return true;
   };
   const auto column_error = [&]() {
     return R::Err(std::string("LMSG2 column '") + kColumnNames[col] + "': " +
                   err);
+  };
+  const auto out_of_range = [&err]() {
+    err = "value out of column range";
+    return false;
   };
 
   TraceStore::Columns& cols = out.cols;
@@ -439,151 +490,111 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
       machine_count > 0 ? machine_count : kMaxMachines;
 
   // machine — decoded first: every per-machine delta column keys on it.
-  if (!read_tokens()) return column_error();
-  cols.machine.reserve(n);
+  std::uint32_t machine_lo = ~std::uint32_t{0};
+  std::uint32_t machine_hi = 0;
   {
     std::uint64_t prev = 0;
-    for (const std::uint64_t tok : s.tokens) {
-      prev += static_cast<std::uint64_t>(util::ZigzagDecode(tok));
-      if (prev >= machine_bound) {
-        err = "machine id out of range";
-        return column_error();
-      }
-      cols.machine.push_back(static_cast<std::uint32_t>(prev));
-    }
-  }
-  ++col;
-  const MachineRange machines = RangeOf(cols.machine);
-
-  // Stream-delta column with an upper value bound (kNoLimit = any u64).
-  constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
-  const auto stream_delta_into = [&](auto& dst, std::uint64_t max_value) {
-    if (!read_tokens()) return false;
-    dst.reserve(n);
-    std::uint64_t prev = 0;
-    for (const std::uint64_t tok : s.tokens) {
-      prev += static_cast<std::uint64_t>(util::ZigzagDecode(tok));
-      if (max_value != kNoLimit && prev > max_value) {
-        err = "value out of column range";
-        return false;
-      }
-      dst.push_back(
-          static_cast<typename std::decay_t<decltype(dst)>::value_type>(prev));
-    }
-    ++col;
-    return true;
-  };
-  // Per-machine-delta column; `store` converts the recovered u64 to the
-  // column's value type (with range checking where the type is narrow).
-  const auto machine_delta_into = [&](auto&& store_value) {
-    if (!read_tokens()) return false;
-    s.prev.assign(machines.span, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t& prev = s.prev[cols.machine[i] - machines.base];
-      prev += static_cast<std::uint64_t>(util::ZigzagDecode(s.tokens[i]));
-      if (!store_value(prev)) {
-        err = "value out of column range";
-        return false;
-      }
-    }
-    ++col;
-    return true;
-  };
-  const auto machine_delta_unsigned = [&](auto& dst, std::uint64_t max_value) {
-    dst.reserve(n);
-    return machine_delta_into([&](std::uint64_t v) {
-      if (max_value != kNoLimit && v > max_value) return false;
-      dst.push_back(
-          static_cast<typename std::decay_t<decltype(dst)>::value_type>(v));
-      return true;
-    });
-  };
-  const auto machine_delta_signed = [&](std::vector<std::int64_t>& dst) {
-    dst.reserve(n);
-    return machine_delta_into([&](std::uint64_t v) {
-      dst.push_back(static_cast<std::int64_t>(v));
-      return true;
-    });
-  };
-
-  if (!stream_delta_into(cols.iteration, 0xffffffffull)) {
-    return column_error();
-  }
-  {  // t: signed, any 64-bit value
-    if (!read_tokens()) return column_error();
-    cols.t.reserve(n);
-    std::uint64_t prev = 0;
-    for (const std::uint64_t tok : s.tokens) {
-      prev += static_cast<std::uint64_t>(util::ZigzagDecode(tok));
-      cols.t.push_back(static_cast<std::int64_t>(prev));
-    }
-    ++col;
-  }
-  if (!machine_delta_signed(cols.boot_time)) return column_error();
-  if (!machine_delta_signed(cols.uptime_s)) return column_error();
-  {  // cpu_idle_s: centiseconds back to seconds (bit-identical to LMTR1)
-    cols.cpu_idle_s.reserve(n);
-    if (!machine_delta_into([&](std::uint64_t v) {
-          cols.cpu_idle_s.push_back(
-              static_cast<double>(static_cast<std::int64_t>(v)) / 100.0);
+    if (!column(cols.machine, [&](std::size_t, std::uint64_t tok,
+                                  std::uint32_t& m) {
+          prev += static_cast<std::uint64_t>(util::ZigzagDecode(tok));
+          if (prev >= machine_bound) {
+            err = "machine id out of range";
+            return false;
+          }
+          m = static_cast<std::uint32_t>(prev);
+          machine_lo = std::min(machine_lo, m);
+          machine_hi = std::max(machine_hi, m);
           return true;
         })) {
       return column_error();
     }
   }
-  if (!machine_delta_unsigned(cols.ram_mb, 0xffffull)) return column_error();
-  if (!machine_delta_unsigned(cols.mem_load_pct, 0xffull)) {
+  const MachineRange machines =
+      n == 0 ? MachineRange{}
+             : MachineRange{machine_lo,
+                            std::size_t{machine_hi} - machine_lo + 1};
+  const std::uint32_t* const machine_of = cols.machine.data();
+
+  // Stream-delta column with an upper value bound (kNoLimit = any u64).
+  constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
+  const auto stream_delta = [&](auto& dst, std::uint64_t max_value) {
+    std::uint64_t prev = 0;
+    return column(dst, [&](std::size_t, std::uint64_t tok, auto& value) {
+      prev += static_cast<std::uint64_t>(util::ZigzagDecode(tok));
+      if (prev > max_value) return out_of_range();
+      value = static_cast<std::decay_t<decltype(value)>>(prev);
+      return true;
+    });
+  };
+  // Per-machine-delta column; `value_of` converts the recovered u64 to the
+  // column's value type.
+  const auto machine_delta_as = [&](auto& dst, std::uint64_t max_value,
+                                    auto&& value_of) {
+    s.prev.assign(machines.span, 0);
+    std::uint64_t* const prev = s.prev.data();
+    return column(dst, [&](std::size_t i, std::uint64_t tok, auto& value) {
+      std::uint64_t& v = prev[machine_of[i] - machines.base];
+      v += static_cast<std::uint64_t>(util::ZigzagDecode(tok));
+      if (v > max_value) return out_of_range();
+      value = value_of(v);
+      return true;
+    });
+  };
+  const auto machine_delta = [&](auto& dst, std::uint64_t max_value) {
+    using T = typename std::decay_t<decltype(dst)>::value_type;
+    return machine_delta_as(dst, max_value,
+                            [](std::uint64_t v) { return static_cast<T>(v); });
+  };
+
+  if (!stream_delta(cols.iteration, 0xffffffffull)) return column_error();
+  if (!stream_delta(cols.t, kNoLimit)) return column_error();
+  if (!machine_delta(cols.boot_time, kNoLimit)) return column_error();
+  if (!machine_delta(cols.uptime_s, kNoLimit)) return column_error();
+  // cpu_idle_s: centiseconds back to seconds (bit-identical to LMTR1)
+  if (!machine_delta_as(cols.cpu_idle_s, kNoLimit, [](std::uint64_t v) {
+        return static_cast<double>(static_cast<std::int64_t>(v)) / 100.0;
+      })) {
     return column_error();
   }
-  if (!machine_delta_unsigned(cols.swap_load_pct, 0xffull)) {
+  if (!machine_delta(cols.ram_mb, 0xffffull)) return column_error();
+  if (!machine_delta(cols.mem_load_pct, 0xffull)) return column_error();
+  if (!machine_delta(cols.swap_load_pct, 0xffull)) return column_error();
+  if (!machine_delta(cols.disk_total_b, kNoLimit)) return column_error();
+  if (!machine_delta(cols.disk_free_b, kNoLimit)) return column_error();
+  if (!machine_delta(cols.smart_power_on_hours, kNoLimit)) {
     return column_error();
   }
-  if (!machine_delta_unsigned(cols.disk_total_b, kNoLimit)) {
+  if (!machine_delta(cols.smart_power_cycles, kNoLimit)) {
     return column_error();
   }
-  if (!machine_delta_unsigned(cols.disk_free_b, kNoLimit)) {
+  if (!machine_delta(cols.net_sent_b, kNoLimit)) return column_error();
+  if (!machine_delta(cols.net_recv_b, kNoLimit)) return column_error();
+  // has_session: raw 0/1 tokens
+  if (!column(cols.has_session,
+              [&](std::size_t, std::uint64_t tok, std::uint8_t& flag) {
+                if (tok > 1) {
+                  err = "session flag out of range";
+                  return false;
+                }
+                flag = static_cast<std::uint8_t>(tok);
+                return true;
+              })) {
     return column_error();
   }
-  if (!machine_delta_unsigned(cols.smart_power_on_hours, kNoLimit)) {
+  if (!machine_delta(cols.session_logon, kNoLimit)) return column_error();
+  // user_id: 0 = no session, else table index + 1
+  const std::uint64_t user_table_size = out.users.size();
+  if (!column(cols.user_id,
+              [&](std::size_t, std::uint64_t tok, std::uint32_t& id) {
+                if (tok > user_table_size) {
+                  err = "dangling user reference";
+                  return false;
+                }
+                id = tok == 0 ? TraceStore::kNoUser
+                              : static_cast<std::uint32_t>(tok - 1);
+                return true;
+              })) {
     return column_error();
-  }
-  if (!machine_delta_unsigned(cols.smart_power_cycles, kNoLimit)) {
-    return column_error();
-  }
-  if (!machine_delta_unsigned(cols.net_sent_b, kNoLimit)) {
-    return column_error();
-  }
-  if (!machine_delta_unsigned(cols.net_recv_b, kNoLimit)) {
-    return column_error();
-  }
-  {  // has_session: raw 0/1 tokens
-    if (!read_tokens()) return column_error();
-    cols.has_session.reserve(n);
-    for (const std::uint64_t tok : s.tokens) {
-      if (tok > 1) {
-        err = "session flag out of range";
-        return column_error();
-      }
-      cols.has_session.push_back(static_cast<std::uint8_t>(tok));
-    }
-    ++col;
-  }
-  if (!machine_delta_signed(cols.session_logon)) return column_error();
-  {  // user_id: 0 = no session, else table index + 1
-    if (!read_tokens()) return column_error();
-    cols.user_id.reserve(n);
-    for (const std::uint64_t tok : s.tokens) {
-      if (tok == 0) {
-        cols.user_id.push_back(TraceStore::kNoUser);
-      } else {
-        if (tok > out.users.size()) {
-          err = "dangling user reference";
-          return column_error();
-        }
-        cols.user_id.push_back(static_cast<std::uint32_t>(tok - 1));
-      }
-    }
-    ++col;
   }
 
   // Iteration rows (numbered from zero; the segment reader renumbers).

@@ -11,11 +11,14 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <random>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "labmon/core/experiment.hpp"
 #include "labmon/trace/block.hpp"
 #include "labmon/trace/derived_trace.hpp"
+#include "labmon/util/staging_ring.hpp"
 
 namespace labmon::analysis {
 namespace {
@@ -614,6 +618,139 @@ TEST(StreamFoldTest, AnomalyDetectorSeesEverySampleOnce) {
   // interval (strictly fewer than samples).
   EXPECT_GE(detector.observations(), trace.size());
   EXPECT_LT(detector.observations(), 2 * trace.size());
+}
+
+// --- ConsumeRing: the pipelined fold stage --------------------------------
+
+/// The golden trace cut into `block_samples`-row blocks, owned copies.
+std::vector<trace::TraceBlock> GoldenBlocks(std::size_t block_samples) {
+  std::vector<trace::TraceBlock> blocks;
+  trace::StoreReader reader(GoldenResult().trace, block_samples);
+  while (const trace::TraceBlock* block = reader.Next()) {
+    blocks.push_back(*block);
+  }
+  return blocks;
+}
+
+trace::TraceStore GoldenSummary() {
+  const trace::TraceStore& trace = GoldenResult().trace;
+  trace::TraceStore summary(trace.machine_count());
+  for (const auto& info : trace.iterations()) summary.AppendIteration(info);
+  return summary;
+}
+
+TEST(StreamFoldTest, ConsumeRingMatchesSerialHashAndFold) {
+  const std::vector<trace::TraceBlock> blocks = GoldenBlocks(4096);
+  ASSERT_GE(blocks.size(), 3u);
+  std::uint64_t serial = trace::kSampleStreamHashSeed;
+  std::size_t blocks_with_users = 0;
+  for (const trace::TraceBlock& block : blocks) {
+    serial = trace::HashBlockSamples(serial, block);
+    if (!block.users.empty()) ++blocks_with_users;
+  }
+  ASSERT_GE(blocks_with_users, 3u);
+
+  // Two feeds: a ring filled before the fold starts, so every block but
+  // the last has blocks queued behind it, and a two-block ring fed by a
+  // producer thread, so the producer, the fold and its hash helper run at
+  // once (the TSan job runs this suite).
+  for (const bool prefilled : {true, false}) {
+    SCOPED_TRACE(prefilled ? "prefilled ring" : "producer thread");
+    util::StagingRing<trace::TraceBlock> ring(prefilled ? blocks.size() : 2);
+    util::RecyclingPool<trace::TraceBlock> pool;
+    const auto feed = [&] {
+      for (const trace::TraceBlock& block : blocks) {
+        trace::TraceBlock copy = block;
+        if (!ring.Push(std::move(copy))) return;
+      }
+      ring.Close();
+    };
+    std::thread producer;
+    if (prefilled) {
+      feed();
+    } else {
+      producer = std::thread(feed);
+    }
+    StreamingAnalysis fold(GoldenConfig(kShortDays, 8));
+    const std::uint64_t hash =
+        fold.ConsumeRing(ring, &pool, trace::kSampleStreamHashSeed);
+    if (producer.joinable()) producer.join();
+
+    EXPECT_EQ(hash, serial);
+    trace::StoreReader reader(GoldenResult().trace);
+    EXPECT_EQ(hash, trace::HashSampleStream(reader));
+    EXPECT_EQ(fold.samples(), GoldenResult().trace.size());
+    EXPECT_EQ(pool.stats().released, blocks.size());
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      EXPECT_TRUE(pool.Acquire().empty());
+    }
+    ExpectResultMatchesMaterialised(fold.Finish(GoldenSummary()));
+  }
+}
+
+TEST(StreamFoldTest, ConsumeRingOverAnEmptyRingReturnsTheSeed) {
+  util::StagingRing<trace::TraceBlock> ring(1);
+  ring.Close();
+  StreamingAnalysis consumed(GoldenConfig(kShortDays, 8));
+  EXPECT_EQ(consumed.ConsumeRing(ring, nullptr, trace::kSampleStreamHashSeed),
+            trace::kSampleStreamHashSeed);
+  EXPECT_EQ(consumed.ConsumeRing(ring, nullptr, 42), 42u);
+  EXPECT_EQ(consumed.samples(), 0u);
+
+  StreamingAnalysis untouched(GoldenConfig(kShortDays, 8));
+  const trace::TraceStore summary = GoldenSummary();
+  const StreamingAnalysisResult a = consumed.Finish(summary);
+  const StreamingAnalysisResult b = untouched.Finish(summary);
+  EXPECT_EQ(Table2Hash(a.table2), Table2Hash(b.table2));
+  EXPECT_EQ(WeeklyHash(a.weekly), WeeklyHash(b.weekly));
+  EXPECT_EQ(PerLabAndHoursHash(a.per_lab, a.session_hours),
+            PerLabAndHoursHash(b.per_lab, b.session_hours));
+}
+
+/// Threads of this process (Linux); 0 where /proc is not available.
+std::size_t ThreadCount() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? 0 : n;
+}
+
+TEST(StreamFoldTest, CancelledRingReturnsWithTheHashHelperJoined) {
+  const std::vector<trace::TraceBlock> blocks = GoldenBlocks(4096);
+  const std::size_t threads_before = ThreadCount();
+  util::StagingRing<trace::TraceBlock> ring(1);
+  util::RecyclingPool<trace::TraceBlock> pool;
+  std::uint64_t hash = 0;
+  StreamingAnalysis fold(GoldenConfig(kShortDays, 8));
+  std::thread consumer([&] {
+    hash = fold.ConsumeRing(ring, &pool, trace::kSampleStreamHashSeed);
+  });
+  // Three blocks reach the fold; then the ring is cancelled while the
+  // fold is busy or parked in Pop.
+  for (std::size_t i = 0; i < 3; ++i) {
+    trace::TraceBlock copy = blocks[i];
+    EXPECT_TRUE(ring.Push(std::move(copy)));
+  }
+  ring.Cancel();
+  consumer.join();
+
+  // The k blocks that reached the fold before the cancel were folded,
+  // hashed in stream order and recycled.
+  const std::size_t k = pool.stats().released;
+  ASSERT_LE(k, 3u);
+  std::uint64_t prefix = trace::kSampleStreamHashSeed;
+  std::size_t folded = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    prefix = trace::HashBlockSamples(prefix, blocks[i]);
+    folded += blocks[i].size();
+  }
+  EXPECT_EQ(hash, prefix);
+  EXPECT_EQ(fold.samples(), folded);
+  if (threads_before == 0) GTEST_SKIP() << "no /proc/self/task";
+  EXPECT_EQ(ThreadCount(), threads_before);
 }
 
 }  // namespace

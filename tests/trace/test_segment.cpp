@@ -267,6 +267,65 @@ TEST(SegmentTest, BadMagicRejectedAtOpen) {
   EXPECT_FALSE(reader.ok());
 }
 
+/// `v` (< 2^63) as a 10-byte varint whose last byte also sets a 65th bit:
+/// a reader that drops the bits past 64 reads `v`.
+std::string OverlongVarint(std::uint64_t v) {
+  std::string out;
+  for (int i = 0; i < 9; ++i) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back('\x02');
+  return out;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Segment header: 5-byte magic, varint version (1), varint machine count.
+constexpr std::size_t kMachineCountAt = 6;
+
+TEST(SegmentTest, OverlongHeaderMachineCountIsRejected) {
+  const std::string bytes = ReadFile(WriteSegment(
+      TempPath("seg_overlong_header.lmsg"), {3}, SpillCodecId::kLmsg2));
+  ASSERT_EQ(bytes[kMachineCountAt], '\x04');
+  std::string mutated = bytes;
+  mutated.replace(kMachineCountAt, 1, OverlongVarint(4));
+  const std::string path = TempPath("seg_overlong_header_bad.lmsg");
+  WriteFile(path, mutated);
+  auto reader = SegmentReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.error().find("overlong segment header"), std::string::npos)
+      << reader.error();
+}
+
+TEST(SegmentTest, OverlongBlockLengthPrefixIsRejected) {
+  const std::string bytes = ReadFile(WriteSegment(
+      TempPath("seg_overlong_prefix.lmsg"), {3}, SpillCodecId::kLmsg2));
+  const std::size_t prefix_at = kMachineCountAt + 1;
+  util::VarintReader r(std::string_view(bytes).substr(prefix_at));
+  const auto payload_len = r.Read();
+  ASSERT_TRUE(payload_len.has_value());
+  std::string mutated = bytes;
+  mutated.replace(prefix_at, r.position(), OverlongVarint(*payload_len));
+  const std::string path = TempPath("seg_overlong_prefix_bad.lmsg");
+  WriteFile(path, mutated);
+  auto reader = SegmentReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  EXPECT_EQ(reader.value().Next(), nullptr);
+  EXPECT_TRUE(reader.value().failed());
+  EXPECT_NE(reader.value().error().find("overlong block length prefix"),
+            std::string::npos)
+      << reader.value().error();
+}
+
 // A spill directory mixing codecs (e.g. a campaign resumed under a
 // different --spill-codec) must stream every segment by its own magic —
 // and still reject unknown magics loudly, never mis-parse.
