@@ -752,35 +752,37 @@ void BM_StagingRingPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_StagingRingPushPop);
 
+/// Per-lab part streams laid out as replay feeds the merge: one block per
+/// part, `machines_per_part` lab-contiguous machines each probed once per
+/// front. Every part's sweep starts at the front's period boundary (so
+/// the parts' first probes tie in t) and steps by a per-probe latency of
+/// 1-4 s.
 std::vector<std::vector<trace::TraceBlock>> MergeBenchParts(
     std::size_t parts, std::size_t machines_per_part,
-    std::uint32_t iterations, std::size_t samples_per_machine) {
+    std::uint32_t iterations) {
   const std::size_t machine_count = parts * machines_per_part;
   std::vector<std::vector<trace::TraceBlock>> streams(parts);
   for (std::size_t p = 0; p < parts; ++p) {
     trace::TraceStore store(machine_count);
     for (std::uint32_t it = 0; it < iterations; ++it) {
-      for (std::size_t i = 0; i < samples_per_machine; ++i) {
-        for (std::size_t m = 0; m < machines_per_part; ++m) {
-          trace::SampleRecord r;
-          r.machine = static_cast<std::uint32_t>(p * machines_per_part + m);
-          r.iteration = it;
-          r.t = 900 * (it + 1) +
-                static_cast<std::int64_t>(i * machine_count + r.machine);
-          r.boot_time = r.t - 500;
-          r.uptime_s = 500;
-          r.cpu_idle_s = 471.125;
-          r.mem_load_pct = static_cast<int>((r.machine + i) % 100);
-          r.disk_total_b = 74'500'000'000ULL;
-          r.disk_free_b = 58'000'000'000ULL - i;
-          store.Append(r);
-        }
+      const std::int64_t boundary = 900 * std::int64_t{it + 1};
+      std::int64_t t = boundary;
+      for (std::size_t m = 0; m < machines_per_part; ++m) {
+        trace::SampleRecord r;
+        r.machine = static_cast<std::uint32_t>(p * machines_per_part + m);
+        r.iteration = it;
+        r.t = t;
+        r.boot_time = r.t - 500;
+        r.uptime_s = 500;
+        r.cpu_idle_s = 471.125;
+        r.mem_load_pct = static_cast<int>((r.machine + it) % 100);
+        r.disk_total_b = 74'500'000'000ULL;
+        r.disk_free_b = 58'000'000'000ULL - it;
+        store.Append(r);
+        t += 1 + static_cast<std::int64_t>((p + m + it) % 4);
       }
-      store.AppendIteration({it, 900 * (it + 1), 900 * (it + 1) + 60,
-                             static_cast<std::uint32_t>(machines_per_part *
-                                                        samples_per_machine),
-                             static_cast<std::uint32_t>(machines_per_part *
-                                                        samples_per_machine)});
+      const auto probes = static_cast<std::uint32_t>(machines_per_part);
+      store.AppendIteration({it, boundary, t, probes, probes});
     }
     trace::TraceBlock block;
     block.AssignFrom(store);
@@ -791,15 +793,15 @@ std::vector<std::vector<trace::TraceBlock>> MergeBenchParts(
 
 void BM_IncrementalMergeFront(benchmark::State& state) {
   // The pipelined merge stage's hot loop: per-iteration-front gather +
-  // (t, machine) key sort + columnar append across all parts. Arg is the
-  // sort worker count (1 = serial, >1 = parallel per-front sorts over the
-  // batched backlog). All blocks are pre-buffered so the benchmark
-  // measures pure merge throughput, not collection.
-  const auto parts = MergeBenchParts(/*parts=*/4, /*machines_per_part=*/4,
-                                     /*iterations=*/64,
-                                     /*samples_per_machine=*/24);
-  const std::size_t machine_count = 16;
-  const std::size_t sort_workers = static_cast<std::size_t>(state.range(0));
+  // (t, machine) ordering + columnar append across all parts. Arg is the
+  // part (lab) count: 11 is the paper campus, 88 its 8x scale-out. All
+  // blocks are pre-buffered so the benchmark measures pure merge
+  // throughput, not collection.
+  constexpr std::size_t kMachinesPerPart = 15;
+  const auto part_count = static_cast<std::size_t>(state.range(0));
+  const auto parts =
+      MergeBenchParts(part_count, kMachinesPerPart, /*iterations=*/96);
+  const std::size_t machine_count = part_count * kMachinesPerPart;
   std::int64_t merged_samples = 0;
   for (auto _ : state) {
     trace::MergeFrontier frontier(parts.size(), machine_count,
@@ -815,15 +817,17 @@ void BM_IncrementalMergeFront(benchmark::State& state) {
     auto recycle = [](std::size_t, std::unique_ptr<trace::TraceBlock>) {};
     while (!frontier.finished()) {
       frontier.Advance(trace::MergeFrontier::EmitFn(emit),
-                       trace::MergeFrontier::RecycleFn(recycle),
-                       sort_workers);
+                       trace::MergeFrontier::RecycleFn(recycle));
     }
     merged_samples = static_cast<std::int64_t>(folded);
     benchmark::DoNotOptimize(folded);
   }
   state.SetItemsProcessed(state.iterations() * merged_samples);
 }
-BENCHMARK(BM_IncrementalMergeFront)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IncrementalMergeFront)
+    ->Arg(11)
+    ->Arg(88)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RunningStats(benchmark::State& state) {
   util::Rng rng(3);

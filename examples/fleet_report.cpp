@@ -194,6 +194,7 @@ std::string PipelineStatsJson(const core::PipelineStats& s) {
        << util::FormatFixed(s.fold_ring_pop_wait_s, 6)
        << ", \"fold_ring_peak_occupancy\": " << s.fold_ring_peak_occupancy
        << ", \"merge_lag_peak_blocks\": " << s.merge_lag_peak_blocks
+       << ", \"merge_fallback_sorts\": " << s.merge_fallback_sorts
        << ", \"arena_acquired\": " << s.arena_acquired
        << ", \"arena_reused\": " << s.arena_reused
        << ", \"arena_reuse_ratio\": "
@@ -512,7 +513,8 @@ int main(int argc, char** argv) {
               << util::FormatFixed(p.fold_ring_push_wait_s, 3) << " / "
               << util::FormatFixed(p.fold_ring_pop_wait_s, 3)
               << " s parked), merge lag peak " << p.merge_lag_peak_blocks
-              << " blocks, arena reuse "
+              << " blocks, " << p.merge_fallback_sorts
+              << " merge fallback sorts, arena reuse "
               << util::FormatFixed(100.0 * p.arena_reuse_ratio, 1)
               << "%, serial fraction "
               << util::FormatFixed(p.serial_fraction, 3) << " ("

@@ -59,13 +59,15 @@ struct StreamingOptions {
   /// Capacity of the bounded staging ring between the shard collectors and
   /// the merge stage (blocks). Small rings bound memory and apply
   /// backpressure to fast shards; output is identical at any capacity.
+  /// The fold ring (merged blocks, merge -> fold) takes the same capacity
+  /// capped at 2 merged blocks, each of which holds up to block_samples.
   std::size_t ring_capacity = 64;
   /// Lockstep window length in collection periods: every lab is advanced
   /// through window w before any lab starts w+1, so complete iteration
   /// fronts reach the merge while later windows are still simulating.
   std::size_t window_iterations = 16;
-  /// Worker budget for the parallel per-front merge sort engaged when the
-  /// staging ring backs up. 0 picks a small hardware-derived default.
+  /// Ignored (the merge orders each front in linear time on its own
+  /// thread); kept so existing callers still compile.
   std::size_t merge_sort_workers = 0;
 };
 
@@ -86,12 +88,16 @@ struct PipelineStats {
   std::uint64_t fold_ring_pop_stalls = 0;   ///< fold waits (ring empty)
   double fold_ring_push_wait_s = 0.0;
   double fold_ring_pop_wait_s = 0.0;
-  /// Peak merged blocks waiting between merge and fold (bounded by the
-  /// ring capacity): how far the fold lags the merge, which sets how many
-  /// merged blocks replay holds in memory.
+  /// Peak merged blocks waiting between merge and fold (at most 2, or
+  /// ring_capacity if smaller): how far the fold lags the merge, which
+  /// sets how many merged blocks replay holds in memory.
   std::size_t fold_ring_peak_occupancy = 0;
   /// Peak blocks buffered inside the merge frontier (merge lag).
   std::size_t merge_lag_peak_blocks = 0;
+  /// Iteration fronts the merge ordered with the comparison-sort fallback
+  /// (MergeFrontier::fallback_sorts): 0 unless a lab's keys in a front
+  /// broke the counting pass's check.
+  std::uint64_t merge_fallback_sorts = 0;
   std::uint64_t arena_acquired = 0;  ///< block acquisitions (all pools)
   std::uint64_t arena_reused = 0;    ///< served from a recycling pool
   double arena_reuse_ratio = 0.0;

@@ -90,6 +90,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Fold-ring capacity cap, in merged blocks. ring_capacity counts window
+/// blocks of a few hundred samples on the collect ring, but a merged block
+/// holds up to block_samples (65,536 by default, ~7 MB), so 64 of them
+/// exceed a whole 8-lab, 28-day campaign. Two is the least that keeps a
+/// block queued behind the one the fold holds, which is what engages
+/// ConsumeRing's hash helper when the merge runs ahead; every further
+/// block is only memory.
+constexpr std::size_t kFoldRingMaxBlocks = 2;
+
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -437,8 +446,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
   // Pipeline plumbing. Declared before the worker threads (which capture
   // everything by reference) and destroyed after them.
   util::StagingRing<StagedBlock> collect_ring(options.ring_capacity);
-  util::StagingRing<trace::TraceBlock> fold_ring(
-      std::max<std::size_t>(1, options.ring_capacity));
+  util::StagingRing<trace::TraceBlock> fold_ring(std::clamp<std::size_t>(
+      options.ring_capacity, 1, kFoldRingMaxBlocks));
   std::vector<std::unique_ptr<BlockPool>> shard_pools;
   shard_pools.reserve(shards.size());
   for (std::size_t s = 0; s < shards.size(); ++s) {
@@ -458,6 +467,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
   std::uint64_t merged_samples = 0;
   std::uint64_t merged_blocks = 0;
   std::size_t merge_lag_peak = 0;
+  std::uint64_t merge_fallback_sorts = 0;
   bool merge_clean = false;
 
   // Fold-stage outputs, read by the main thread after the joins.
@@ -465,11 +475,6 @@ StreamingExperimentResult PipelinedExperiment::Run(
   analysis::StreamingAnalysisResult analysis_result;
   trace::TraceStore summary_store;
   bool fold_finished = false;
-
-  const std::size_t sort_workers_max = std::max<std::size_t>(
-      1, options.merge_sort_workers > 0
-             ? options.merge_sort_workers
-             : std::min<std::size_t>(4, util::DefaultWorkerCount()));
 
   const auto pipe_t0 = Clock::now();
 
@@ -500,24 +505,19 @@ StreamingExperimentResult PipelinedExperiment::Run(
         frontier.Append(item.lab, std::move(item.block));
       }
       merge_lag_peak = std::max(merge_lag_peak, frontier.buffered_blocks());
-      // Escalate to parallel per-front sorts when the ring backs up —
-      // output-invariant, it only changes who sorts which ready front.
-      const std::size_t sort_workers =
-          collect_ring.size() * 2 >= collect_ring.capacity()
-              ? sort_workers_max
-              : 1;
       obs::prof::PhaseScope prof_merge(obs::prof::Phase::kMerge);
-      frontier.Advance(emit, recycle, sort_workers);
+      frontier.Advance(emit, recycle);
     }
     if (!collect_ring.cancelled()) {
       if (!frontier.finished()) {
         obs::prof::PhaseScope prof_merge(obs::prof::Phase::kMerge);
-        frontier.Advance(emit, recycle, 1);
+        frontier.Advance(emit, recycle);
       }
       if (frontier.finished()) {
         merged_iterations = frontier.TakeIterations();
         merged_samples = frontier.samples();
         merged_blocks = frontier.blocks();
+        merge_fallback_sorts = frontier.fallback_sorts();
         merge_clean = true;
       } else {
         record_error("pipelined merge ended with incomplete lab streams");
@@ -820,6 +820,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
       static_cast<double>(fold_stats.pop_wait_ns) * 1e-9;
   pipe.fold_ring_peak_occupancy = fold_stats.peak_occupancy;
   pipe.merge_lag_peak_blocks = merge_lag_peak;
+  pipe.merge_fallback_sorts = merge_fallback_sorts;
   {
     util::RecyclingPool<trace::TraceBlock>::Stats merged_stats =
         merged_pool.stats();

@@ -6,18 +6,16 @@
 // an iteration front is complete when every live part has either buffered
 // content covering that iteration or finished its stream. MergeFrontier
 // is that state machine: Append()/FinishPart() feed it, Advance() merges
-// every ready front (replaying MergeTraces' exact order: per global
-// iteration, gather all parts' samples, sort by (t, machine), append) and
-// emits sealed merged blocks. Both StreamMergeBlocks and the pipelined
-// driver are built on it, so the merged sample sequence is bit-identical
-// across all three engines by construction.
+// every ready front one at a time (replaying MergeTraces' exact order: per
+// global iteration, gather all parts' samples in part order, order them by
+// (t, machine), append) and emits sealed merged blocks. Both
+// StreamMergeBlocks and the pipelined driver are built on it, so the
+// merged sample sequence is bit-identical across all three engines by
+// construction.
 //
-// Ready fronts are gathered in batches; when more than one front is ready
-// (the staging ring backed up while the merge was busy) the per-front key
-// sorts run in parallel via util::ParallelFor — sorting is the only
-// commutative step, appending stays strictly front-ordered. (t, machine)
-// keys are unique within a front, so the sort order — and thus the output
-// — is identical however the sorting is scheduled.
+// Fronts are ordered by FrontOrder (front_order.hpp), the helper
+// MergeTraces shares: a counting pass on t, checked on every front, with a
+// counted fallback to the comparison sort (fallback_sorts()).
 //
 // Buffered blocks are either owned (heap TraceBlocks, handed back through
 // the recycle callback once fully consumed — the pipelined engine returns
@@ -25,7 +23,7 @@
 // scratch, valid until the caller invalidates it after Advance returns).
 //
 // Merged blocks are built in place, column by column per front, straight
-// from the sorted keys into the TraceBlock that is emitted (no TraceStore
+// from the ordered keys into the TraceBlock that is emitted (no TraceStore
 // builder, no per-machine index, no copy at seal). User ids go through a
 // per-source remap that interns each (source block, user) pair once per
 // merged block, in merged order, so the block's user table and ids are
@@ -40,6 +38,7 @@
 #include <vector>
 
 #include "labmon/trace/block.hpp"
+#include "labmon/trace/front_order.hpp"
 #include "labmon/util/function_ref.hpp"
 
 namespace labmon::trace {
@@ -71,10 +70,10 @@ class MergeFrontier {
 
   /// Merges every iteration front the buffered streams can complete,
   /// sealing merged blocks into `emit` and handing consumed owned blocks
-  /// to `recycle`. With `sort_workers` > 1 and several ready fronts, the
-  /// per-front key sorts run in parallel. Returns the number of fronts
-  /// merged. After the last part finishes, the trailing partial block is
-  /// flushed and finished() turns true.
+  /// to `recycle`. Returns the number of fronts merged. After the last
+  /// part finishes, the trailing partial block is flushed and finished()
+  /// turns true. `sort_workers` is ignored (fronts are ordered in linear
+  /// time on the calling thread); it stays for existing callers.
   std::size_t Advance(EmitFn emit, RecycleFn recycle,
                       std::size_t sort_workers = 1);
 
@@ -100,6 +99,11 @@ class MergeFrontier {
   }
   [[nodiscard]] std::uint64_t samples() const noexcept { return samples_; }
   [[nodiscard]] std::uint64_t blocks() const noexcept { return blocks_; }
+  /// Fronts whose counting pass failed its check (or was skipped) and
+  /// fell back to the comparison sort: 0 on well-formed collection output.
+  [[nodiscard]] std::uint64_t fallback_sorts() const noexcept {
+    return order_.fallback_sorts();
+  }
 
  private:
   static constexpr std::uint32_t kNoSource = 0xffffffffu;
@@ -124,8 +128,8 @@ class MergeFrontier {
   };
   /// A staged sample row: sort key + source location (`block` is
   /// sources_[source].block, kept here to save the gather an indirection).
-  /// Both stay valid for the whole batch: consumed slots and their sources
-  /// are retired only after the batch's append phase.
+  /// Both stay valid for the whole front: consumed slots and their sources
+  /// are retired only after the front's append.
   struct Key {
     std::int64_t t;
     std::uint32_t machine;
@@ -139,11 +143,11 @@ class MergeFrontier {
   void RetireExhausted(std::size_t part);
   /// Checks whether the next front is decidable with the buffered state.
   Scan CheckReady();
-  /// Gathers the next front's keys into batch_keys_ (consuming cursors);
-  /// records the key range and the front's IterationInfo (if any).
+  /// Gathers the next front's keys into front_keys_ (consuming cursors)
+  /// and records the front's IterationInfo (if any).
   void GatherFront();
-  /// Appends the sorted keys [begin, end) onto sealed_, column by column.
-  void AppendFront(std::size_t begin, std::size_t end);
+  /// Appends the ordered front_keys_ onto sealed_, column by column.
+  void AppendFront();
   /// Merged id of `source`'s block-local user `uid`, interning on first use.
   std::uint32_t MergedUserId(std::uint32_t source, std::uint32_t uid);
   void Seal(EmitFn emit);
@@ -155,7 +159,7 @@ class MergeFrontier {
   std::unordered_map<std::string, std::uint32_t> user_ids_;  ///< of sealed_
   std::vector<Source> sources_;
   std::vector<std::uint32_t> free_sources_;
-  /// Sources whose block retired this batch, freed after its append phase.
+  /// Sources whose block retired this front, freed after its append.
   std::vector<std::uint32_t> retired_sources_;
 
   std::uint64_t next_front_ = 0;
@@ -167,12 +171,8 @@ class MergeFrontier {
   std::size_t stalled_part_ = 0;
   bool finished_ = false;
 
-  std::vector<Key> batch_keys_;
-  std::vector<std::pair<std::size_t, std::size_t>> batch_ranges_;
-  /// IterationInfo per batched front; .attempts == 0 && !valid marker is
-  /// avoided by a parallel validity vector (a front can have no records).
-  std::vector<IterationInfo> batch_infos_;
-  std::vector<char> batch_has_info_;
+  std::vector<Key> front_keys_;
+  FrontOrder<Key> order_;
   std::vector<std::pair<std::size_t, std::unique_ptr<TraceBlock>>> retired_;
 
   std::vector<IterationInfo> iterations_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "labmon/obs/prof.hpp"
+#include "labmon/trace/front_order.hpp"
 
 namespace labmon::trace {
 
@@ -31,6 +32,7 @@ TraceStore MergeTraces(std::span<const TraceStore> parts) {
     std::size_t idx;
   };
   std::vector<Key> block;
+  FrontOrder<Key> order;
 
   // Lazily-built part-local → merged user-id translation. Merged ids are
   // assigned at the first merged-order appearance of each user string,
@@ -73,9 +75,7 @@ TraceStore MergeTraces(std::span<const TraceStore> parts) {
     }
     // (t, machine) is a total order: a machine is probed at most once per
     // iteration, so ties in t cannot repeat a machine.
-    std::sort(block.begin(), block.end(), [](const Key& a, const Key& b) {
-      return a.t != b.t ? a.t < b.t : a.machine < b.machine;
-    });
+    order.Order(block);
     // Columnar append: no SampleRecord gather, no user-string re-intern.
     for (const Key& k : block) {
       const TraceStore::Columns& cols = parts[k.part].columns();

@@ -4,18 +4,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "labmon/util/parallel.hpp"
-
 namespace labmon::trace {
-
-namespace {
-/// Fronts gathered per Advance() batch before sorting + appending. Bounds
-/// the staged-key working set; large enough that a backed-up ring yields
-/// real sort parallelism.
-constexpr std::size_t kMaxFrontBatch = 32;
-/// Parallel sorting only pays for itself past this many staged keys.
-constexpr std::size_t kParallelSortThreshold = 4096;
-}  // namespace
 
 MergeFrontier::MergeFrontier(std::size_t part_count,
                              std::size_t /*machine_count*/,
@@ -79,7 +68,7 @@ MergeFrontier::Scan MergeFrontier::CheckReady() {
 
 void MergeFrontier::GatherFront() {
   const std::uint64_t it = next_front_;
-  const std::size_t range_begin = batch_keys_.size();
+  front_keys_.clear();
   IterationInfo info;
   info.iteration = it;
   bool any = false;
@@ -126,15 +115,13 @@ void MergeFrontier::GatherFront() {
       sources_[part.source].remap_block = ~std::uint64_t{0};
     }
     while (part.idx < block.size() && cols.iteration[part.idx] == it) {
-      batch_keys_.push_back({cols.t[part.idx], cols.machine[part.idx],
+      front_keys_.push_back({cols.t[part.idx], cols.machine[part.idx],
                              static_cast<std::uint32_t>(part.idx), &block,
                              part.source});
       ++part.idx;
     }
   }
-  batch_ranges_.emplace_back(range_begin, batch_keys_.size());
-  batch_infos_.push_back(info);
-  batch_has_info_.push_back(any ? 1 : 0);
+  if (any) iterations_.push_back(info);
   ++next_front_;
   // The next front starts a fresh readiness scan (this one consumed
   // content, so earlier parts may now be exhausted).
@@ -163,14 +150,20 @@ std::uint32_t MergeFrontier::MergedUserId(std::uint32_t source,
   return mapped;
 }
 
-void MergeFrontier::AppendFront(std::size_t begin, std::size_t end) {
+void MergeFrontier::AppendFront() {
   using Columns = TraceStore::Columns;
-  const Key* keys = batch_keys_.data() + begin;
-  const std::size_t n = end - begin;
+  const Key* keys = front_keys_.data();
+  const std::size_t n = front_keys_.size();
   Columns& dst = sealed_.cols;
   const std::size_t base = sealed_.size();
   TraceStore::ForEachColumn([&](auto member) {
     auto& out = dst.*member;
+    // Size a fresh block for block_samples plus one front, not by doubling:
+    // merged blocks are pooled, so capacity doubled past block_samples
+    // would stay allocated in every one of them.
+    if (out.capacity() < base + n) {
+      out.reserve(std::max(base + n, block_samples_ + n));
+    }
     out.resize(base + n);
     if constexpr (std::is_same_v<decltype(member),
                                  std::vector<std::uint32_t> Columns::*>) {
@@ -202,53 +195,19 @@ void MergeFrontier::Seal(EmitFn emit) {
 }
 
 std::size_t MergeFrontier::Advance(EmitFn emit, RecycleFn recycle,
-                                   std::size_t sort_workers) {
+                                   std::size_t /*sort_workers*/) {
   std::size_t fronts_merged = 0;
   while (!finished_) {
-    // Gather a batch of ready fronts.
-    batch_keys_.clear();
-    batch_ranges_.clear();
-    batch_infos_.clear();
-    batch_has_info_.clear();
-    Scan scan = Scan::kReady;
-    while (batch_ranges_.size() < kMaxFrontBatch) {
-      scan = CheckReady();
-      if (scan != Scan::kReady) break;
+    const Scan scan = CheckReady();
+    if (scan == Scan::kReady) {
       GatherFront();
-    }
-    if (!batch_ranges_.empty()) {
-      // Sort each front's keys — in parallel when the ring backed up and
-      // the batch is big enough to amortise the threads. Keys are unique
-      // per front ((t, machine); a machine is probed at most once per
-      // iteration), so the sorted order does not depend on scheduling.
-      const auto sort_range = [&](std::size_t f) {
-        const auto [begin, end] = batch_ranges_[f];
-        std::sort(batch_keys_.begin() + static_cast<std::ptrdiff_t>(begin),
-                  batch_keys_.begin() + static_cast<std::ptrdiff_t>(end),
-                  [](const Key& a, const Key& b) {
-                    return a.t != b.t ? a.t < b.t : a.machine < b.machine;
-                  });
-      };
-      if (sort_workers > 1 && batch_ranges_.size() > 1 &&
-          batch_keys_.size() >= kParallelSortThreshold) {
-        util::ParallelFor(batch_ranges_.size(), sort_range, sort_workers);
-      } else {
-        for (std::size_t f = 0; f < batch_ranges_.size(); ++f) {
-          sort_range(f);
-        }
-      }
-      // Append strictly in front order; seal points fall exactly where the
-      // one-front-at-a-time merge would put them.
-      for (std::size_t f = 0; f < batch_ranges_.size(); ++f) {
-        const auto [begin, end] = batch_ranges_[f];
-        AppendFront(begin, end);
-        if (batch_has_info_[f]) iterations_.push_back(batch_infos_[f]);
-        ++fronts_merged;
-        if (sealed_.size() >= block_samples_) Seal(emit);
-      }
+      order_.Order(front_keys_);
+      AppendFront();
+      ++fronts_merged;
+      if (sealed_.size() >= block_samples_) Seal(emit);
     }
     // Consumed owned blocks (and their sources) are safe to recycle once
-    // their rows are appended (keys referenced them during the batch).
+    // the front's rows are appended (its keys referenced them).
     for (auto& [part, block] : retired_) {
       recycle(part, std::move(block));
     }

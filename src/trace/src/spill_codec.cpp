@@ -442,7 +442,10 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
   }
   const std::size_t n = static_cast<std::size_t>(*sample_count);
 
-  out.users.reserve(static_cast<std::size_t>(*user_count));
+  // Reserves are bounded by the bytes left, not the header alone: a user
+  // costs at least its 1-byte length, an iteration row at least 4 bytes.
+  out.users.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(*user_count, r.remaining())));
   for (std::uint64_t i = 0; i < *user_count; ++i) {
     const auto len = r.Read();
     if (!len || *len > kMaxUserLen) return R::Err("garbled LMSG2 user table");
@@ -600,7 +603,8 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
   // Iteration rows (numbered from zero; the segment reader renumbers).
   std::uint64_t prev_start = 0;
   std::uint64_t prev_end = 0;
-  out.iterations.reserve(static_cast<std::size_t>(*iteration_count));
+  out.iterations.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(*iteration_count, r.remaining() / 4)));
   for (std::uint64_t i = 0; i < *iteration_count; ++i) {
     const auto ds = r.ReadSigned();
     const auto de = r.ReadSigned();

@@ -211,6 +211,9 @@ TEST(PipelinedDeterminismTest, DefaultsMatchMaterialisedEngine) {
   ExpectRunIdentical(piped);
   EXPECT_GT(piped.pipeline.staged_blocks, 0u);
   EXPECT_EQ(piped.pipeline.ring_capacity, options.ring_capacity);
+  EXPECT_EQ(piped.pipeline.merge_fallback_sorts, 0u);
+  // The fold ring holds at most two merged blocks at any ring capacity.
+  EXPECT_LE(piped.pipeline.fold_ring_peak_occupancy, 2u);
 }
 
 TEST(PipelinedDeterminismTest, FoldRingPeakOccupancyIsWithinCapacity) {

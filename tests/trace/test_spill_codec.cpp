@@ -299,6 +299,31 @@ TEST(SpillCodecTest, HostileHeaderCountsFailFast) {
   EXPECT_EQ(result.error(),
             "LMSG2 column 'machine': truncated token group header");
   EXPECT_LT(decoded.cols.machine.capacity(), std::size_t{1} << 20);
+
+  // Counts at the header bound in short payloads: the user table and the
+  // iteration rows fail where their bytes run out, and neither is reserved
+  // by the header count alone.
+  payload.clear();
+  util::PutVarint(payload, 0);
+  util::PutVarint(payload, 0);
+  util::PutVarint(payload, std::uint64_t{1} << 28);  // user_count
+  TraceBlock users_decoded;
+  result = Lmsg2().DecodeBlock(payload, kMachines, users_decoded);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error(), "garbled LMSG2 user table");
+  EXPECT_LT(users_decoded.users.capacity(), std::size_t{1} << 20);
+
+  payload.clear();
+  util::PutVarint(payload, 0);
+  util::PutVarint(payload, std::uint64_t{1} << 28);  // iteration_count
+  util::PutVarint(payload, 0);
+  payload += std::string(kSpillColumnCount, '\0');  // empty sections
+  payload += std::string("\x02\x02\x01", 3);        // 3/4 of one row
+  TraceBlock rows_decoded;
+  result = Lmsg2().DecodeBlock(payload, kMachines, rows_decoded);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error(), "truncated LMSG2 iteration metadata");
+  EXPECT_LT(rows_decoded.iterations.capacity(), std::size_t{1} << 20);
 }
 
 // --- byte goldens ---------------------------------------------------------
