@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "labmon/ddc/probe.hpp"
 #include "labmon/util/rng.hpp"
@@ -77,9 +78,13 @@ struct ExecOutcome {
   double latency_s = 0.0;     ///< wall time the attempt consumed
   int exit_code = -1;
   std::string stdout_text;
-  std::string stderr_text;
+  /// Why a failed attempt failed, as static text ("" for an offline
+  /// host's timeout and on success): a failed attempt allocates nothing.
+  const char* reason = "";
 
   [[nodiscard]] bool ok() const noexcept { return status == Status::kOk; }
+  /// psexec's stderr for this attempt against host `host` ("" on success).
+  [[nodiscard]] std::string StderrText(std::string_view host) const;
 };
 
 /// Executes probes against machines with simulated transport behaviour.

@@ -32,6 +32,23 @@ RetryPolicy RetryPolicy::Validated() const noexcept {
   return p;
 }
 
+std::string ExecOutcome::StderrText(std::string_view host) const {
+  std::string text;
+  switch (status) {
+    case Status::kOk:
+      break;
+    case Status::kTimeout:
+      text.append("psexec: could not connect to ").append(host);
+      text.append(": timeout");
+      if (*reason != '\0') text.append(" (").append(reason).append(")");
+      break;
+    case Status::kError:
+      text.append(reason).append(" on ").append(host);
+      break;
+  }
+  return text;
+}
+
 RemoteExecutor::RemoteExecutor(ExecPolicy policy, std::uint64_t seed,
                                faultsim::FaultInjector* faults)
     : policy_(policy.Validated()), rng_(seed), faults_(faults) {}
@@ -50,8 +67,6 @@ bool TransportAttempt(const ExecPolicy& policy, util::Rng& rng,
         rng.Normal(policy.offline_timeout_mean_s,
                    policy.offline_timeout_sigma_s));
     outcome->exit_code = -1;
-    outcome->stderr_text = "psexec: could not connect to " +
-                           machine.spec().name + ": timeout";
     return false;
   }
   if (rng.Bernoulli(policy.transient_failure_prob)) {
@@ -61,8 +76,7 @@ bool TransportAttempt(const ExecPolicy& policy, util::Rng& rng,
         rng.Normal(policy.success_latency_mean_s,
                    policy.success_latency_sigma_s));
     outcome->exit_code = 2;
-    outcome->stderr_text =
-        "psexec: RPC server busy on " + machine.spec().name;
+    outcome->reason = "psexec: RPC server busy";
     return false;
   }
   outcome->status = ExecOutcome::Status::kOk;
@@ -76,19 +90,15 @@ bool TransportAttempt(const ExecPolicy& policy, util::Rng& rng,
 
 /// Converts an injected transport fault into a finished outcome.
 void FillFromFault(const faultsim::TransportFault& fault,
-                   const winsim::Machine& machine, ExecOutcome* outcome) {
+                   ExecOutcome* outcome) {
   if (fault.kind == faultsim::TransportFault::Kind::kTimeout) {
     outcome->status = ExecOutcome::Status::kTimeout;
     outcome->exit_code = -1;
-    outcome->stderr_text = "psexec: could not connect to " +
-                           machine.spec().name + ": timeout (" +
-                           fault.detail + ")";
   } else {
     outcome->status = ExecOutcome::Status::kError;
     outcome->exit_code = 2;
-    outcome->stderr_text =
-        std::string(fault.detail) + " on " + machine.spec().name;
   }
+  outcome->reason = fault.detail;
   outcome->latency_s = fault.latency_s;
 }
 
@@ -101,7 +111,7 @@ ExecOutcome RemoteExecutor::Execute(Probe& probe, winsim::Machine& machine,
   if (faulted) {
     const faultsim::TransportFault fault = faults_->OnAttempt(machine.id(), t);
     if (fault.kind != faultsim::TransportFault::Kind::kNone) {
-      FillFromFault(fault, machine, &outcome);
+      FillFromFault(fault, &outcome);
       return outcome;
     }
   }
@@ -131,7 +141,7 @@ ExecOutcome RemoteExecutor::ExecuteStructured(Probe& probe,
   if (faulted) {
     const faultsim::TransportFault fault = faults_->OnAttempt(machine.id(), t);
     if (fault.kind != faultsim::TransportFault::Kind::kNone) {
-      FillFromFault(fault, machine, &outcome);
+      FillFromFault(fault, &outcome);
       return outcome;
     }
   }

@@ -29,8 +29,23 @@ TEST(RemoteExecutorTest, OfflineMachineTimesOut) {
   EXPECT_FALSE(outcome.ok());
   EXPECT_GE(outcome.latency_s, exec.policy().offline_timeout_min_s);
   EXPECT_TRUE(outcome.stdout_text.empty());
-  EXPECT_NE(outcome.stderr_text.find("timeout"), std::string::npos);
+  EXPECT_EQ(outcome.StderrText(m.spec().name),
+            "psexec: could not connect to L01-PC01: timeout");
   EXPECT_EQ(outcome.exit_code, -1);
+}
+
+TEST(RemoteExecutorTest, TransientBlipRendersRpcBusy) {
+  winsim::Machine m = TestMachine();
+  m.Boot(0);
+  ExecPolicy policy;
+  policy.transient_failure_prob = 1.0;
+  RemoteExecutor exec(policy, 3);
+  W32Probe probe;
+  const auto outcome = exec.Execute(probe, m, 100);
+  EXPECT_EQ(outcome.status, ExecOutcome::Status::kError);
+  EXPECT_EQ(outcome.exit_code, 2);
+  EXPECT_EQ(outcome.StderrText(m.spec().name),
+            "psexec: RPC server busy on L01-PC01");
 }
 
 TEST(RemoteExecutorTest, OnlineMachineSucceeds) {
@@ -45,6 +60,7 @@ TEST(RemoteExecutorTest, OnlineMachineSucceeds) {
   EXPECT_EQ(outcome.exit_code, 0);
   EXPECT_GE(outcome.latency_s, policy.success_latency_min_s);
   EXPECT_NE(outcome.stdout_text.find("W32PROBE"), std::string::npos);
+  EXPECT_TRUE(outcome.StderrText(m.spec().name).empty());
   // The probe observed the machine at the execution instant.
   const auto parsed = ParseW32ProbeOutput(outcome.stdout_text);
   ASSERT_TRUE(parsed.ok());
@@ -195,8 +211,9 @@ TEST(RemoteExecutorFaultTest, InjectedTimeoutAndErrorShapeTheOutcome) {
   const auto crashed = exec.Execute(probe, m, 500);
   EXPECT_EQ(crashed.status, ExecOutcome::Status::kTimeout);
   EXPECT_EQ(crashed.exit_code, -1);
-  EXPECT_NE(crashed.stderr_text.find("host crashed"), std::string::npos);
-  EXPECT_NE(crashed.stderr_text.find("L01-PC01"), std::string::npos);
+  const std::string crashed_text = crashed.StderrText(m.spec().name);
+  EXPECT_NE(crashed_text.find("host crashed"), std::string::npos);
+  EXPECT_NE(crashed_text.find("L01-PC01"), std::string::npos);
   EXPECT_TRUE(crashed.stdout_text.empty());
 
   faultsim::FaultPlan blips;
@@ -209,7 +226,8 @@ TEST(RemoteExecutorFaultTest, InjectedTimeoutAndErrorShapeTheOutcome) {
   const auto blipped = blip_exec.Execute(probe, live, 100);
   EXPECT_EQ(blipped.status, ExecOutcome::Status::kError);
   EXPECT_EQ(blipped.exit_code, 2);
-  EXPECT_NE(blipped.stderr_text.find("RPC server busy"), std::string::npos);
+  EXPECT_NE(blipped.StderrText(live.spec().name).find("RPC server busy"),
+            std::string::npos);
 }
 
 TEST(RemoteExecutorFaultTest, InactiveInjectorMatchesPlainExecutor) {
