@@ -39,7 +39,9 @@ namespace labmon::util {
 template <typename... Args>
 [[nodiscard]] std::string Cat(Args&&... args) {
   std::ostringstream oss;
-  (oss << ... << std::forward<Args>(args));
+  if constexpr (sizeof...(Args) > 0) {
+    (oss << ... << std::forward<Args>(args));
+  }
   return oss.str();
 }
 

@@ -234,7 +234,7 @@ const Value& Value::operator[](std::size_t index) const noexcept {
 }
 
 util::Result<Value> Parse(std::string_view text) {
-  Parser parser{text};
+  Parser parser{text, 0, {}};
   Value value;
   if (!parser.ParseValue(value, 0)) {
     return util::Result<Value>::Err(parser.error);

@@ -72,7 +72,9 @@ void ExpectStoresEqual(const TraceStore& a, const TraceStore& b) {
     EXPECT_EQ(x.net_recv_b, y.net_recv_b);
     EXPECT_EQ(x.has_session, y.has_session);
     EXPECT_EQ(x.user, y.user);
-    if (x.has_session) EXPECT_EQ(x.session_logon, y.session_logon);
+    if (x.has_session) {
+      EXPECT_EQ(x.session_logon, y.session_logon);
+    }
   }
   for (std::size_t i = 0; i < a.iterations().size(); ++i) {
     EXPECT_EQ(a.iterations()[i].start_t, b.iterations()[i].start_t);

@@ -114,8 +114,8 @@ TEST(HashSampleStreamTest, IndependentOfUserInterning) {
   r1.user = "aa1";
   a.Append(r0);
   a.Append(r1);
-  b.InternUserId("aa1");  // pre-intern in reverse order
-  b.InternUserId("zz9");
+  EXPECT_EQ(b.InternUserId("aa1"), 0u);  // pre-intern in reverse order
+  EXPECT_EQ(b.InternUserId("zz9"), 1u);
   b.Append(r0);
   b.Append(r1);
   StoreReader ra(a), rb(b);
