@@ -109,7 +109,8 @@ struct PipelineStats {
 };
 
 /// Spill codec accounting for one run: the encode side sums every segment
-/// writer (shard workers compress before bytes hit disk), the decode side
+/// writer (the merge thread encodes each live lab's blocks as it pops them
+/// off the collect ring), the decode side
 /// sums the segments replayed for resumed labs — a fresh run merges its
 /// blocks from memory and decodes nothing. All zeros when spilling is
 /// disabled. Mirrored into obs gauges under labmon_spill_*.
@@ -186,6 +187,10 @@ struct StreamingExperimentResult {
 /// dedicated merge thread drains the ring into a trace::MergeFrontier,
 /// which emits merged blocks the moment an iteration front is complete
 /// across all labs — it never waits for any lab to finish its campaign.
+/// When spilling, the merge thread also encodes each live lab's blocks
+/// into the lab's segment before merging them, and commits the segment
+/// and its checkpoint sidecar on the lab's end-of-stream marker, so the
+/// shard workers only collect.
 /// Merged blocks flow through a second ring into the
 /// analysis::StreamingAnalysis fold running on its own thread. Block
 /// buffers recycle backwards through the rings (per-shard pools feed the

@@ -8,7 +8,9 @@
 //       │  blocks at window boundaries     │
 //       ▼                                  ▼
 //   collect ring (bounded MPSC StagingRing<StagedBlock>)
-//       │  merge thread: drain → MergeFrontier::Advance
+//       │  merge thread: drain; a live lab's block is encoded and appended
+//       │  to its segment (spill only), then MergeFrontier::Append/Advance;
+//       │  a live lab's end-of-stream marker commits segment + sidecar
 //       ▼
 //   fold ring (StagingRing<TraceBlock>, merged blocks)
 //       │  fold thread: builds the StreamingAnalysis, then ConsumeRing:
@@ -179,20 +181,17 @@ using BlockPool = util::RecyclingPool<std::unique_ptr<trace::TraceBlock>>;
 
 /// Collection sink of one lab: samples append to the lab's working store;
 /// sealing copies the store into a pooled heap block pushed onto the
-/// collect ring (and, when spilling, also appends it to the lab's segment,
-/// which the checkpoint sidecar later commits). Seals happen at the block budget *and* at every window
-/// boundary, so blocks stay iteration-aligned and fronts keep advancing
-/// even in iteration-sparse windows.
+/// collect ring (the merge thread spills it). Seals happen at the block
+/// budget *and* at every window boundary, so blocks stay iteration-aligned
+/// and fronts keep advancing even in iteration-sparse windows.
 class PipelineSink final : public ddc::SampleSink {
  public:
   PipelineSink(trace::TraceStore& store, std::size_t block_samples,
-               trace::SegmentWriter* writer,
                util::StagingRing<StagedBlock>& ring, BlockPool& pool,
                std::size_t lab)
       : inner_(store),
         store_(&store),
         block_samples_(std::max<std::size_t>(1, block_samples)),
-        writer_(writer),
         ring_(&ring),
         pool_(&pool),
         lab_(lab) {}
@@ -224,7 +223,6 @@ class PipelineSink final : public ddc::SampleSink {
   [[nodiscard]] std::uint64_t blocks_sealed() const noexcept {
     return blocks_sealed_;
   }
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
   [[nodiscard]] const trace::TraceStoreSink& inner() const noexcept {
     return inner_;
   }
@@ -232,12 +230,6 @@ class PipelineSink final : public ddc::SampleSink {
  private:
   void Seal() {
     obs::prof::PhaseScope prof_scope(obs::prof::Phase::kStage);
-    if (writer_ != nullptr) {
-      if (auto appended = writer_->Append(*store_);
-          !appended.ok() && error_.empty()) {
-        error_ = appended.error();
-      }
-    }
     std::unique_ptr<trace::TraceBlock> block = pool_->Acquire();
     if (!block) block = std::make_unique<trace::TraceBlock>();
     block->AssignFrom(*store_);
@@ -252,12 +244,10 @@ class PipelineSink final : public ddc::SampleSink {
   trace::TraceStoreSink inner_;
   trace::TraceStore* store_;
   std::size_t block_samples_;
-  trace::SegmentWriter* writer_;
   util::StagingRing<StagedBlock>* ring_;
   BlockPool* pool_;
   std::size_t lab_;
   std::uint64_t blocks_sealed_ = 0;
-  std::string error_;
 };
 
 /// Everything one live lab keeps alive across windows: the behaviour
@@ -271,14 +261,11 @@ class LabRun {
          const workload::CampusProfile& profile, std::size_t lab,
          std::size_t machine_count, std::size_t reserve,
          const ddc::CoordinatorConfig& collector,
-         const faultsim::FaultPlan& plan,
-         std::unique_ptr<trace::SegmentWriter> writer,
-         std::size_t block_samples, util::StagingRing<StagedBlock>& ring,
-         BlockPool& pool)
+         const faultsim::FaultPlan& plan, std::size_t block_samples,
+         util::StagingRing<StagedBlock>& ring, BlockPool& pool)
       : driver_(fleet, campus, profile, lab, lab + 1),
         store_(machine_count),
-        writer_(std::move(writer)),
-        sink_(store_, block_samples, writer_.get(), ring, pool, lab),
+        sink_(store_, block_samples, ring, pool, lab),
         injector_(plan, collector.metrics) {
     store_.Reserve(reserve);
     ddc::CoordinatorConfig config = collector;
@@ -295,9 +282,6 @@ class LabRun {
   }
   [[nodiscard]] PipelineSink& sink() noexcept { return sink_; }
   [[nodiscard]] workload::WorkloadDriver& driver() noexcept { return driver_; }
-  [[nodiscard]] trace::SegmentWriter* writer() noexcept {
-    return writer_.get();
-  }
 
  private:
   struct Advance {
@@ -310,7 +294,6 @@ class LabRun {
 
   workload::WorkloadDriver driver_;
   trace::TraceStore store_;
-  std::unique_ptr<trace::SegmentWriter> writer_;
   PipelineSink sink_;
   ddc::W32Probe probe_;
   faultsim::FaultInjector injector_;
@@ -356,7 +339,6 @@ StreamingExperimentResult PipelinedExperiment::Run(
     const std::scoped_lock lock(error_mutex);
     result.errors.push_back(std::move(message));
   };
-  std::mutex spill_mutex;
 
   if (spill) {
     std::error_code ec;
@@ -456,13 +438,14 @@ StreamingExperimentResult PipelinedExperiment::Run(
   util::RecyclingPool<trace::TraceBlock> merged_pool;
 
   std::vector<std::unique_ptr<LabRun>> runs(lab_count);
-  std::vector<char> lab_failed(lab_count, 0);
   std::atomic<bool> any_failed{false};
   std::vector<double> shard_busy_s(shards.size(), 0.0);
 
   // Merge-stage outputs, written by the merge thread before it closes the
   // fold ring (the ring's mutex orders them for the fold thread) and read
-  // by the main thread after the joins.
+  // by the main thread after the joins. The merge thread is also the only
+  // writer of result.spill's encode side, as the replay thread is of its
+  // decode side.
   std::vector<trace::IterationInfo> merged_iterations;
   std::uint64_t merged_samples = 0;
   std::uint64_t merged_blocks = 0;
@@ -481,6 +464,52 @@ StreamingExperimentResult PipelinedExperiment::Run(
   std::jthread merge_thread([&] {
     trace::MergeFrontier frontier(lab_count, machine_count,
                                   options.block_samples);
+    // Live labs' segments. The merge thread alone opens, appends to and
+    // commits them, so the shard workers only collect. A lab whose segment
+    // fails loses its writer: the run reports the error, collection stops
+    // at the next window, and the lab commits no sidecar.
+    std::vector<std::optional<trace::SegmentWriter>> writers(lab_count);
+    const auto spill_failed = [&](std::size_t lab, std::string message) {
+      record_error(std::move(message));
+      any_failed.store(true);
+      writers[lab].reset();
+    };
+    for (std::size_t lab = 0; spill && lab < lab_count; ++lab) {
+      if (resumed[lab]) continue;
+      auto opened = trace::SegmentWriter::Open(
+          detail::SegmentPath(options.spill_dir, lab), machine_count,
+          options.spill_codec);
+      if (!opened.ok()) {
+        spill_failed(lab, opened.error());
+        continue;
+      }
+      writers[lab].emplace(std::move(opened).value());
+    }
+    // Appends one of `lab`'s blocks, in the order its shard sealed them.
+    const auto spill_block = [&](std::size_t lab,
+                                 const trace::TraceBlock& block) {
+      obs::prof::PhaseScope prof_stage(obs::prof::Phase::kStage);
+      if (auto appended = writers[lab]->Append(block); !appended.ok()) {
+        spill_failed(lab, appended.error());
+      }
+    };
+    // On the lab's end-of-stream marker: its shard filled checkpoints[lab]
+    // before pushing the marker, and the ring orders the two.
+    const auto commit_spill = [&](std::size_t lab) {
+      obs::prof::PhaseScope prof_stage(obs::prof::Phase::kStage);
+      trace::SegmentWriter& writer = *writers[lab];
+      if (auto finished = writer.Finish(); !finished.ok()) {
+        spill_failed(lab, finished.error());
+        return;
+      }
+      detail::AccumulateSpillEncode(result.spill, writer.codec_stats(),
+                                    writer.bytes_written());
+      if (!detail::WriteSidecar(detail::SidecarPath(options.spill_dir, lab),
+                                fingerprint, lab, checkpoints[lab])) {
+        util::log::Warn("checkpoint sidecar write failed for lab " +
+                        std::to_string(lab));
+      }
+    };
     const auto emit = [&](trace::TraceBlock& sealed) {
       trace::TraceBlock out = merged_pool.Acquire();
       std::swap(out, sealed);
@@ -500,8 +529,10 @@ StreamingExperimentResult PipelinedExperiment::Run(
       }
       if (!got) break;
       if (item.final_block) {
+        if (writers[item.lab]) commit_spill(item.lab);
         frontier.FinishPart(item.lab);
       } else {
+        if (writers[item.lab]) spill_block(item.lab, *item.block);
         frontier.Append(item.lab, std::move(item.block));
       }
       merge_lag_peak = std::max(merge_lag_peak, frontier.buffered_blocks());
@@ -596,10 +627,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
         any_failed.store(true);
         return;
       }
-      {
-        const std::scoped_lock lock(spill_mutex);
-        detail::AccumulateSpillDecode(result.spill, reader.codec_stats());
-      }
+      detail::AccumulateSpillDecode(result.spill, reader.codec_stats());
       item.final_block = true;
       if (!collect_ring.Push(std::move(item))) return;
     }
@@ -639,23 +667,9 @@ StreamingExperimentResult PipelinedExperiment::Run(
       obs::prof::PhaseScope prof_collect(obs::prof::Phase::kCollect);
       for (std::size_t lab = shards[s].lab_begin; lab < shards[s].lab_end;
            ++lab) {
-        if (resumed[lab] || lab_failed[lab]) continue;
+        if (resumed[lab]) continue;
         if (!runs[lab]) {
           const winsim::LabInfo& info = fleet.labs()[lab];
-          std::unique_ptr<trace::SegmentWriter> writer;
-          if (spill) {
-            auto opened = trace::SegmentWriter::Open(
-                detail::SegmentPath(options.spill_dir, lab), machine_count,
-                options.spill_codec);
-            if (!opened.ok()) {
-              record_error(opened.error());
-              lab_failed[lab] = 1;
-              any_failed.store(true);
-              continue;
-            }
-            writer = std::make_unique<trace::SegmentWriter>(
-                std::move(opened).value());
-          }
           const detail::LabCollection setup =
               detail::LabCollectionFor(config, info, lab);
           // A window seals at most window_iterations iterations (plus the
@@ -669,18 +683,13 @@ StreamingExperimentResult PipelinedExperiment::Run(
               info.count;
           runs[lab] = std::make_unique<LabRun>(
               fleet, config.campus, profile, lab, machine_count, reserve,
-              setup.collector, setup.plan, std::move(writer),
-              options.block_samples, collect_ring, *shard_pools[s]);
+              setup.collector, setup.plan, options.block_samples,
+              collect_ring, *shard_pools[s]);
           runs[lab]->coordinator().Begin(0);
         }
         LabRun& run = *runs[lab];
         run.coordinator().StepUntil(until);
         run.sink().SealPending();
-        if (!run.sink().error().empty()) {
-          record_error(run.sink().error());
-          lab_failed[lab] = 1;
-          any_failed.store(true);
-        }
       }
       shard_busy_s[s] += SecondsSince(t0);
     };
@@ -698,8 +707,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
       }
     }
 
-    // Per-lab finalisation: run stats, trailing seal, checkpoint sidecar,
-    // end-of-stream marker.
+    // Per-lab finalisation: run stats, trailing seal, checkpoint, then the
+    // end-of-stream marker on which the merge thread commits the lab.
     if (live_labs > 0 && !any_failed.load()) {
       auto finish_shard = [&](std::size_t s) {
         const auto t0 = Clock::now();
@@ -707,46 +716,17 @@ StreamingExperimentResult PipelinedExperiment::Run(
         obs::prof::PhaseScope prof_collect(obs::prof::Phase::kCollect);
         for (std::size_t lab = shards[s].lab_begin; lab < shards[s].lab_end;
              ++lab) {
-          if (resumed[lab] || lab_failed[lab] || !runs[lab]) continue;
+          if (resumed[lab] || !runs[lab]) continue;
           LabRun& run = *runs[lab];
           const ddc::RunStats stats = run.coordinator().Finish();
           run.driver().FinishAt(horizon);
           run.sink().SealPending();
-          if (!run.sink().error().empty()) {
-            record_error(run.sink().error());
-            lab_failed[lab] = 1;
-            any_failed.store(true);
-            continue;
-          }
 
           detail::LabCheckpoint& cp = checkpoints[lab];
           cp = detail::FinishedLab(stats, run.driver().ground_truth(),
                                    run.sink().inner());
           cp.blocks = run.sink().blocks_sealed();
           cp.codec = options.spill_codec;
-
-          if (spill) {
-            if (auto finished = run.writer()->Finish(); !finished.ok()) {
-              record_error(finished.error());
-              lab_failed[lab] = 1;
-              any_failed.store(true);
-              continue;
-            }
-            // Encoding itself ran inside PipelineSink::Seal on this shard
-            // worker — compression never touches the merge thread.
-            {
-              const std::scoped_lock lock(spill_mutex);
-              detail::AccumulateSpillEncode(result.spill,
-                                            run.writer()->codec_stats(),
-                                            run.writer()->bytes_written());
-            }
-            if (!detail::WriteSidecar(
-                    detail::SidecarPath(options.spill_dir, lab), fingerprint,
-                    lab, cp)) {
-              util::log::Warn("checkpoint sidecar write failed for lab " +
-                              std::to_string(lab));
-            }
-          }
           run.sink().PublishFinal();
         }
         shard_busy_s[s] += SecondsSince(t0);

@@ -209,7 +209,8 @@ inline LabCollection LabCollectionFor(const ExperimentConfig& config,
 }
 
 /// Folds one finished segment writer into the run's encode-side spill
-/// accounting. Callers on worker threads must hold their own lock.
+/// accounting. Not synchronised: in a pipelined run only the merge thread
+/// calls it.
 inline void AccumulateSpillEncode(SpillCompressionStats& spill,
                                   const trace::SpillCodecStats& stats,
                                   std::uint64_t segment_bytes) {

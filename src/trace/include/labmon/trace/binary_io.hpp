@@ -18,13 +18,14 @@
 #include <string>
 #include <string_view>
 
+#include "labmon/trace/block.hpp"
 #include "labmon/trace/trace_store.hpp"
 #include "labmon/util/expected.hpp"
 
 namespace labmon::trace {
 
-/// Serialises the full store (samples + iteration metadata).
-[[nodiscard]] std::string SerializeTrace(const TraceStore& store);
+/// Serialises the full store or block (samples + iteration metadata).
+[[nodiscard]] std::string SerializeTrace(const BlockView& trace);
 
 /// Parses a binary trace; verifies magic, bounds and counts.
 [[nodiscard]] util::Result<TraceStore> DeserializeTrace(

@@ -77,11 +77,16 @@ class SegmentWriter {
 
   /// Appends one sealed block: `block_store` must hold the block's samples,
   /// its own (block-local) user table and its iteration rows. Encoding runs
-  /// on the calling thread — spill callers invoke this from shard workers
-  /// so compression stays off any merge critical path. A block costs what
-  /// its samples cost: no registry lookup, and codec scratch sized by the
-  /// block's own rows and machine-id range, never by the fleet.
+  /// on the calling thread: the pipelined engine appends from its merge
+  /// thread, which is otherwise idle for most of a run, so the shard
+  /// workers only collect. A block costs what its samples cost: no
+  /// registry lookup, and codec scratch sized by the block's own rows and
+  /// machine-id range, never by the fleet.
   [[nodiscard]] util::Result<bool> Append(const TraceStore& block_store);
+  /// Appends a sealed TraceBlock through the same encoder; the bytes equal
+  /// those of appending a store of the writer's machine count holding the
+  /// same samples, users and iteration rows.
+  [[nodiscard]] util::Result<bool> Append(const TraceBlock& block);
 
   /// Flushes and closes; returns an error if any write failed. Publishes
   /// the writer's spill metrics (as a failed Append or the destructor
@@ -101,10 +106,12 @@ class SegmentWriter {
 
  private:
   SegmentWriter() = default;
+  util::Result<bool> Write(const BlockView& block);
 
   std::ofstream out_;
   std::string path_;
   const SpillCodec* codec_ = nullptr;
+  std::size_t machine_count_ = 0;
   std::string payload_;  ///< reused encode buffer
   SpillCodecStats stats_;
   SpillIoTally tally_;

@@ -95,8 +95,7 @@ struct SpillColumnBytes {
 
 /// In-memory columnar footprint of a block's contents — the "raw" side of
 /// every compression ratio this module reports.
-[[nodiscard]] std::uint64_t RawColumnBytes(const TraceStore& store) noexcept;
-[[nodiscard]] std::uint64_t RawColumnBytes(const TraceBlock& block) noexcept;
+[[nodiscard]] std::uint64_t RawColumnBytes(const BlockView& block) noexcept;
 
 class SpillCodec {
  public:
@@ -107,11 +106,11 @@ class SpillCodec {
   [[nodiscard]] virtual std::string_view magic() const noexcept = 0;
 
   /// Encodes one sealed block (samples + block-local user table +
-  /// iteration rows) into `out` (cleared first). Pure in-memory transform;
-  /// cannot fail, and touches no shared state. A codec with column
-  /// sections (LMSG2) adds the block's per-column bytes to `*columns` when
-  /// it is given.
-  virtual void EncodeBlock(const TraceStore& block_store, std::string& out,
+  /// iteration rows, from a TraceStore or a TraceBlock) into `out`
+  /// (cleared first). Pure in-memory transform; cannot fail, and touches no
+  /// shared state. A codec with column sections (LMSG2) adds the block's
+  /// per-column bytes to `*columns` when it is given.
+  virtual void EncodeBlock(const BlockView& block, std::string& out,
                            SpillColumnBytes* columns = nullptr) const = 0;
 
   /// Decodes one payload into `out` (cleared first). `machine_count` is

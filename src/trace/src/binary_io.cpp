@@ -1,6 +1,5 @@
 #include "labmon/trace/binary_io.hpp"
 
-#include <span>
 #include <vector>
 
 #include "labmon/obs/registry.hpp"
@@ -70,48 +69,48 @@ void CountTraceIo(const char* direction, std::uint64_t bytes,
 
 }  // namespace
 
-std::string SerializeTrace(const TraceStore& store) {
+std::string SerializeTrace(const BlockView& trace) {
   obs::Span span("trace.serialize");
+  const TraceStore::Columns& c = trace.cols;
+  const std::size_t n = trace.size();
   std::string out;
-  out.reserve(store.size() * 24 + 64);
+  out.reserve(n * 24 + 64);
   out.append(kMagic, kMagicLen);
 
-  // User string table — the store's interned table, which is already in
-  // first-appearance order.
-  const std::span<const std::string> users = store.users();
-
-  util::PutVarint(out, store.machine_count());
-  util::PutVarint(out, store.size());
-  util::PutVarint(out, store.iterations().size());
-  util::PutVarint(out, users.size());
-  for (const std::string& user : users) {
+  // User string table — the store's interned (or the block's local) table,
+  // which is already in first-appearance order.
+  util::PutVarint(out, trace.machine_count);
+  util::PutVarint(out, n);
+  util::PutVarint(out, trace.iterations.size());
+  util::PutVarint(out, trace.users.size());
+  for (const std::string& user : trace.users) {
     util::PutVarint(out, user.size());
     out.append(user);
   }
 
-  std::vector<Previous> prev(store.machine_count());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const SampleRecord s = store.Sample(i);
-    if (s.machine >= prev.size()) prev.resize(s.machine + 1);
-    Previous& p = prev[s.machine];
-    util::PutVarint(out, s.machine);
-    p.iteration = PutDelta(out, s.iteration, p.iteration);
-    p.t = PutDelta(out, s.t, p.t);
-    p.boot_time = PutDelta(out, s.boot_time, p.boot_time);
-    p.uptime_s = PutDelta(out, s.uptime_s, p.uptime_s);
-    p.idle_cs = PutDelta(out, IdleCentiseconds(s.cpu_idle_s), p.idle_cs);
-    p.ram_mb = PutDelta(out, s.ram_mb, p.ram_mb);
-    p.mem = PutDelta(out, s.mem_load_pct, p.mem);
-    p.swap = PutDelta(out, s.swap_load_pct, p.swap);
-    p.disk_total = PutDelta(out, s.disk_total_b, p.disk_total);
-    p.disk_free = PutDelta(out, s.disk_free_b, p.disk_free);
-    p.poh = PutDelta(out, s.smart_power_on_hours, p.poh);
-    p.cycles = PutDelta(out, s.smart_power_cycles, p.cycles);
-    p.sent = PutDelta(out, s.net_sent_b, p.sent);
-    p.recv = PutDelta(out, s.net_recv_b, p.recv);
-    if (s.has_session) {
-      util::PutVarint(out, 1 + store.columns().user_id[i]);
-      p.logon = PutDelta(out, s.session_logon, p.logon);
+  std::vector<Previous> prev(trace.machine_count);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t machine = c.machine[i];
+    if (machine >= prev.size()) prev.resize(std::size_t{machine} + 1);
+    Previous& p = prev[machine];
+    util::PutVarint(out, machine);
+    p.iteration = PutDelta(out, c.iteration[i], p.iteration);
+    p.t = PutDelta(out, c.t[i], p.t);
+    p.boot_time = PutDelta(out, c.boot_time[i], p.boot_time);
+    p.uptime_s = PutDelta(out, c.uptime_s[i], p.uptime_s);
+    p.idle_cs = PutDelta(out, IdleCentiseconds(c.cpu_idle_s[i]), p.idle_cs);
+    p.ram_mb = PutDelta(out, c.ram_mb[i], p.ram_mb);
+    p.mem = PutDelta(out, c.mem_load_pct[i], p.mem);
+    p.swap = PutDelta(out, c.swap_load_pct[i], p.swap);
+    p.disk_total = PutDelta(out, c.disk_total_b[i], p.disk_total);
+    p.disk_free = PutDelta(out, c.disk_free_b[i], p.disk_free);
+    p.poh = PutDelta(out, c.smart_power_on_hours[i], p.poh);
+    p.cycles = PutDelta(out, c.smart_power_cycles[i], p.cycles);
+    p.sent = PutDelta(out, c.net_sent_b[i], p.sent);
+    p.recv = PutDelta(out, c.net_recv_b[i], p.recv);
+    if (c.has_session[i] != 0) {
+      util::PutVarint(out, 1 + c.user_id[i]);
+      p.logon = PutDelta(out, c.session_logon[i], p.logon);
     } else {
       util::PutVarint(out, 0);
     }
@@ -120,13 +119,13 @@ std::string SerializeTrace(const TraceStore& store) {
   // Iteration metadata (delta against the previous iteration row).
   std::uint64_t prev_start = 0;
   std::uint64_t prev_end = 0;
-  for (const auto& it : store.iterations()) {
+  for (const auto& it : trace.iterations) {
     prev_start = PutDelta(out, it.start_t, prev_start);
     prev_end = PutDelta(out, it.end_t, prev_end);
     util::PutVarint(out, it.attempts);
     util::PutVarint(out, it.successes);
   }
-  CountTraceIo("write", out.size(), store.size());
+  CountTraceIo("write", out.size(), n);
   return out;
 }
 

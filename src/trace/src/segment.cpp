@@ -142,6 +142,7 @@ util::Result<SegmentWriter> SegmentWriter::Open(const std::string& path,
   SegmentWriter writer;
   writer.path_ = path;
   writer.codec_ = &GetSpillCodec(codec);
+  writer.machine_count_ = machine_count;
   writer.tally_ = SpillIoTally(codec, "write");
   writer.out_.open(path, std::ios::binary | std::ios::trunc);
   if (!writer.out_) return R::Err("cannot open segment for write: " + path);
@@ -156,14 +157,22 @@ util::Result<SegmentWriter> SegmentWriter::Open(const std::string& path,
 }
 
 util::Result<bool> SegmentWriter::Append(const TraceStore& block_store) {
+  return Write(block_store);
+}
+
+util::Result<bool> SegmentWriter::Append(const TraceBlock& block) {
+  return Write(BlockView(block, machine_count_));
+}
+
+util::Result<bool> SegmentWriter::Write(const BlockView& block) {
   using R = util::Result<bool>;
   if (!out_) return R::Err("segment writer not open: " + path_);
   const std::uint64_t t0 = NowNs();
-  codec_->EncodeBlock(block_store, payload_, tally_.columns());
+  codec_->EncodeBlock(block, payload_, tally_.columns());
   SpillCodecStats delta;
   delta.blocks = 1;
-  delta.samples = block_store.size();
-  delta.raw_bytes = RawColumnBytes(block_store);
+  delta.samples = block.size();
+  delta.raw_bytes = RawColumnBytes(block);
   delta.payload_bytes = payload_.size();
   delta.ns = NowNs() - t0;
   stats_ += delta;

@@ -211,7 +211,7 @@ bool DecodeColumn(const std::uint8_t* p, const std::uint8_t* end,
 }
 
 // Per-thread scratch so the stateless codec singletons stay shareable
-// across shard workers without locking or steady-state allocation.
+// across threads without locking or steady-state allocation.
 struct CodecScratch {
   std::vector<std::uint64_t> tokens;  ///< one column's tokens (encode only)
   /// Per-machine previous value (u64 wrap domain), indexed by machine id
@@ -252,9 +252,9 @@ class Lmsg1Codec final : public SpillCodec {
     return kLmsg1Magic;
   }
 
-  void EncodeBlock(const TraceStore& block_store, std::string& out,
+  void EncodeBlock(const BlockView& block, std::string& out,
                    SpillColumnBytes* /*columns*/) const override {
-    out = SerializeTrace(block_store);
+    out = SerializeTrace(block);
   }
 
   [[nodiscard]] util::Result<bool> DecodeBlock(
@@ -302,25 +302,24 @@ class Lmsg2Codec final : public SpillCodec {
     return kLmsg2Magic;
   }
 
-  void EncodeBlock(const TraceStore& block_store, std::string& out,
+  void EncodeBlock(const BlockView& block, std::string& out,
                    SpillColumnBytes* columns) const override;
   [[nodiscard]] util::Result<bool> DecodeBlock(
       std::string_view payload, std::size_t machine_count,
       TraceBlock& out) const override;
 };
 
-void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out,
+void Lmsg2Codec::EncodeBlock(const BlockView& block, std::string& out,
                              SpillColumnBytes* columns) const {
-  const TraceStore::Columns& c = store.columns();
-  const std::size_t n = store.size();
+  const TraceStore::Columns& c = block.cols;
+  const std::size_t n = block.size();
   out.clear();
   out.reserve(n + 256);
 
   util::PutVarint(out, n);
-  util::PutVarint(out, store.iterations().size());
-  const std::span<const std::string> users = store.users();
-  util::PutVarint(out, users.size());
-  for (const std::string& user : users) {
+  util::PutVarint(out, block.iterations.size());
+  util::PutVarint(out, block.users.size());
+  for (const std::string& user : block.users) {
     util::PutVarint(out, user.size());
     out.append(user);
   }
@@ -411,7 +410,7 @@ void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out,
   // u64 wraparound like the columns.
   std::uint64_t prev_start = 0;
   std::uint64_t prev_end = 0;
-  for (const IterationInfo& it : store.iterations()) {
+  for (const IterationInfo& it : block.iterations) {
     const auto start = static_cast<std::uint64_t>(it.start_t);
     const auto end = static_cast<std::uint64_t>(it.end_t);
     util::PutSignedVarint(out, static_cast<std::int64_t>(start - prev_start));
@@ -653,18 +652,7 @@ std::optional<SpillCodecId> ParseSpillCodecName(std::string_view name) noexcept 
   return std::nullopt;
 }
 
-std::uint64_t RawColumnBytes(const TraceStore& store) noexcept {
-  std::uint64_t bytes = 0;
-  TraceStore::ForEachColumn([&](auto member) {
-    const auto& column = store.columns().*member;
-    bytes += column.size() * sizeof(column[0]);
-  });
-  for (const std::string& user : store.users()) bytes += user.size();
-  bytes += store.iterations().size() * sizeof(IterationInfo);
-  return bytes;
-}
-
-std::uint64_t RawColumnBytes(const TraceBlock& block) noexcept {
+std::uint64_t RawColumnBytes(const BlockView& block) noexcept {
   std::uint64_t bytes = 0;
   TraceStore::ForEachColumn([&](auto member) {
     const auto& column = block.cols.*member;

@@ -289,6 +289,40 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+TEST_P(SegmentCodecTest, BlockAppendWritesTheStoreBytes) {
+  // Appending a TraceBlock runs the TraceStore overload's encoder: the same
+  // blocks, zero-sample ones included, give the same file and stats.
+  const std::vector<std::size_t> sizes = {5, 3, 0, 7};
+  const std::string store_path =
+      WriteSegment(Path("seg_append_store"), sizes, codec());
+  const std::string block_path = Path("seg_append_block");
+  auto writer = SegmentWriter::Open(block_path, 4, codec());
+  ASSERT_TRUE(writer.ok()) << writer.error();
+  TraceBlock block;
+  std::uint32_t iteration = 0;
+  for (const std::size_t n : sizes) {
+    block.AssignFrom(MakeBlockStore(iteration++, n));
+    ASSERT_TRUE(writer.value().Append(block).ok());
+  }
+  ASSERT_TRUE(writer.value().Finish().ok());
+  EXPECT_EQ(ReadFile(block_path), ReadFile(store_path));
+
+  auto reference = SegmentWriter::Open(Path("seg_append_ref"), 4, codec());
+  ASSERT_TRUE(reference.ok());
+  iteration = 0;
+  for (const std::size_t n : sizes) {
+    ASSERT_TRUE(reference.value().Append(MakeBlockStore(iteration++, n)).ok());
+  }
+  const SpillCodecStats& want = reference.value().codec_stats();
+  const SpillCodecStats& got = writer.value().codec_stats();
+  EXPECT_EQ(got.blocks, want.blocks);
+  EXPECT_EQ(got.samples, want.samples);
+  EXPECT_EQ(got.raw_bytes, want.raw_bytes);
+  EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+  EXPECT_EQ(writer.value().bytes_written(), reference.value().bytes_written());
+  ASSERT_TRUE(reference.value().Finish().ok());
+}
+
 // Segment header: 5-byte magic, varint version (1), varint machine count.
 constexpr std::size_t kMachineCountAt = 6;
 
