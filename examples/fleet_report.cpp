@@ -24,7 +24,7 @@
 //
 // --stream runs the campaign through the pipelined streaming engine:
 // collection seals fixed-size trace blocks (--block-samples, default
-// 65536) instead of materialising the trace, and shard workers overlap
+// 8192) instead of materialising the trace, and shard workers overlap
 // simulation with the merge and the incremental analysis fold via a
 // bounded staging ring (--ring-capacity, default 64 blocks) — peak memory
 // is O(block), independent of --days, and the analysis output is

@@ -35,7 +35,14 @@ namespace labmon::core {
 
 struct StreamingOptions {
   /// Sealed-block capacity for collection spill and the merged stream.
-  std::size_t block_samples = trace::kDefaultBlockSamples;
+  /// 8,192 samples (~0.9 MB of columns), not trace::kDefaultBlockSamples:
+  /// the fold ring, the merged-block pool and the frontier's open block
+  /// each hold merged blocks of this size, and at 65,536 (~7 MB each)
+  /// they set replay's peak RSS while buying no speed. Collection blocks
+  /// are also sealed at every window boundary; at the default window they
+  /// hold a few hundred samples, so the budget does not bind there and the
+  /// spilled segments are those of the 65,536 budget.
+  std::size_t block_samples = 8192;
   /// Spill directory for per-lab segments + checkpoint sidecars; empty
   /// keeps sealed blocks in memory only (they still pass through the
   /// bounded ring, so memory stays O(block) either way).

@@ -2,23 +2,30 @@
 //
 // Thread structure of one run:
 //
-//   shard workers (ParallelFor,        replay thread (resumed labs'
+//   shard tasks (ParallelFor,          replay task (resumed labs'
 //   one pass per lockstep window)      spilled segments, in iteration
 //       │  seal iteration-aligned      order, gated to the live window)
 //       │  blocks at window boundaries     │
 //       ▼                                  ▼
 //   collect ring (bounded MPSC StagingRing<StagedBlock>)
-//       │  merge thread: drain; a live lab's block is encoded and appended
+//       │  merge task: drain; a live lab's block is encoded and appended
 //       │  to its segment (spill only), then MergeFrontier::Append/Advance;
 //       │  a live lab's end-of-stream marker commits segment + sidecar
 //       ▼
 //   fold ring (StagingRing<TraceBlock>, merged blocks)
-//       │  fold thread: builds the StreamingAnalysis, then ConsumeRing:
+//       │  fold task: builds the StreamingAnalysis, then ConsumeRing:
 //       │  Accept(block) ║ hash helper thread: HashBlockSamples(block)
 //       │  (joined per block, before it is recycled) while blocks queue
 //       │  in the fold ring; hash then Accept inline while it keeps up
 //       ▼
 //   StreamingAnalysisResult + stream hash
+//
+// Every stage is a task on util's process-wide worker pool; only the hash
+// helper is a thread of its own. The merge task starts first, then the
+// fold, the replay and each window's shard chunks, so every role lands on
+// the same pool worker, and so in the same malloc arena, from one run to
+// the next. Once the pool has grown to shards + 2 workers (+ 1 when
+// resuming), a run starts no pool thread.
 //
 // Every lab is advanced through window w before any lab starts w+1
 // (Coordinator::Begin/StepUntil/Finish keeps the probe/fault sequence
@@ -30,7 +37,7 @@
 // emitter's pool — steady-state block traffic allocates nothing.
 //
 // A resumed lab is replayed from its spilled segment instead of being
-// re-simulated. The replay thread holds every resumed lab's SegmentReader
+// re-simulated. The replay task holds every resumed lab's SegmentReader
 // open and always decodes next from the lab whose next block starts at
 // the lowest iteration (a min-heap on (iteration, lab)), straight into a
 // pooled block. The resumed streams thus reach the merge interleaved by
@@ -42,16 +49,16 @@
 // live ones; the producer likewise starts a window only once the replay
 // has pushed every block that starts before it.
 //
-// Shutdown discipline (no path may deadlock): the merge thread drains the
-// collect ring unconditionally, the fold thread drains the fold ring
+// Shutdown discipline (no path may deadlock): the merge task drains the
+// collect ring unconditionally, the fold task drains the fold ring
 // unconditionally, so producers can never park forever on a full ring.
-// On error the rings are cancelled, which wakes every parked thread with
-// `false`. The replay thread parks on its gate only while collection runs:
+// On error the rings are cancelled, which wakes every parked task with
+// `false`. The replay task parks on its gate only while collection runs:
 // the producer releases the gate when it stops, normally or on error, and
 // the replay marks itself done on every exit so the producer never waits
-// on a replay that has stopped. A scope guard declared after the worker
-// threads cancels both rings and releases the gate during unwind, so the
-// jthread joins always complete.
+// on a replay that has stopped. A scope guard declared after the task
+// handles cancels both rings and releases the gate during unwind, so the
+// handles' joins always complete.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -65,7 +72,6 @@
 #include <optional>
 #include <queue>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -94,8 +100,8 @@ using Clock = std::chrono::steady_clock;
 
 /// Fold-ring capacity cap, in merged blocks. ring_capacity counts window
 /// blocks of a few hundred samples on the collect ring, but a merged block
-/// holds up to block_samples (65,536 by default, ~7 MB), so 64 of them
-/// exceed a whole 8-lab, 28-day campaign. Two is the least that keeps a
+/// holds up to block_samples (8,192 by default, ~0.9 MB; up to 7 MB at
+/// 65,536), so 64 of them are only memory. Two is the least that keeps a
 /// block queued behind the one the fold holds, which is what engages
 /// ConsumeRing's hash helper when the merge runs ahead; every further
 /// block is only memory.
@@ -425,7 +431,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
   // Built and attached by the fold thread, read after the joins.
   std::unique_ptr<analysis::AnomalyDetector> detector;
 
-  // Pipeline plumbing. Declared before the worker threads (which capture
+  // Pipeline plumbing. Declared before the stage tasks (which capture
   // everything by reference) and destroyed after them.
   util::StagingRing<StagedBlock> collect_ring(options.ring_capacity);
   util::StagingRing<trace::TraceBlock> fold_ring(std::clamp<std::size_t>(
@@ -461,7 +467,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
 
   const auto pipe_t0 = Clock::now();
 
-  std::jthread merge_thread([&] {
+  util::PoolTask merge_task = util::RunOnPool([&] {
     trace::MergeFrontier frontier(lab_count, machine_count,
                                   options.block_samples);
     // Live labs' segments. The merge thread alone opens, appends to and
@@ -582,7 +588,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
     analysis_result = fold.Finish(summary_store);
     fold_finished = true;
   };
-  std::jthread fold_thread([&] {
+  util::PoolTask fold_task = util::RunOnPool([&] {
     try {
       run_fold();
     } catch (const std::exception& e) {
@@ -594,8 +600,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
     }
   });
 
-  // Resumed labs replay their spilled segments from a dedicated reader
-  // thread, concurrent with live simulation.
+  // Resumed labs replay their spilled segments from a reader task of
+  // their own, concurrent with live simulation.
   ReplayGate gate(live_labs > 0 && result.labs_resumed > 0);
   auto replay = [&] {
     // (first iteration of the lab's next block, lab), lowest on top.
@@ -632,9 +638,9 @@ StreamingExperimentResult PipelinedExperiment::Run(
       if (!collect_ring.Push(std::move(item))) return;
     }
   };
-  std::jthread replay_thread;
+  util::PoolTask replay_task;
   if (result.labs_resumed > 0) {
-    replay_thread = std::jthread([&] {
+    replay_task = util::RunOnPool([&] {
       obs::prof::PhaseScope prof_stage(obs::prof::Phase::kStage);
       replay();
       gate.ReplayDone();
@@ -642,8 +648,8 @@ StreamingExperimentResult PipelinedExperiment::Run(
   }
 
   // Unwind safety: cancelling both rings and releasing the replay gate
-  // wakes every parked thread, so the jthread destructors above can always
-  // join. Declared after the threads so it runs first during stack
+  // wakes every parked task, so the handles' destructors above can always
+  // join. Declared after the handles so it runs first during stack
   // unwinding; on the normal path both rings are already closed and
   // drained and the gate released by the time it fires.
   struct CancelGuard {
@@ -738,14 +744,14 @@ StreamingExperimentResult PipelinedExperiment::Run(
   // ---- Shutdown: end (or abort) the streams, join the stages. ----
   if (any_failed.load()) collect_ring.Cancel();
   gate.Release();
-  if (replay_thread.joinable()) replay_thread.join();
+  replay_task.join();
   if (any_failed.load()) {
     collect_ring.Cancel();
   } else {
     collect_ring.Close();
   }
-  merge_thread.join();
-  fold_thread.join();
+  merge_task.join();
+  fold_task.join();
   const double pipeline_wall_s = SecondsSince(pipe_t0);
 
   {

@@ -24,7 +24,8 @@
 //    (self-allocation, mirroring self-time).
 //  * Contention: when enabled, the profiler installs the
 //    util::SetParallelObserver hook and surfaces per-worker queue-wait
-//    (spawn-to-start) and barrier-wait (finish-to-join) as registry
+//    (hand-off to a parked pool worker, to start) and barrier-wait
+//    (finish-to-join) as registry
 //    histograms (labmon_prof_queue_wait_seconds /
 //    labmon_prof_barrier_wait_seconds).
 //

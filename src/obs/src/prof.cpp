@@ -121,8 +121,9 @@ void ClearLog(ThreadLog& log, std::size_t ring_capacity) {
 }
 
 /// Feeds ParallelFor region stats into the default registry: queue wait =
-/// spawn-to-start latency, barrier wait = time a finished worker spent
-/// waiting for the join (the stragglers' shadow).
+/// hand-off latency from region entry to a parked pool worker starting its
+/// chunk (a thread start only when the pool grows), barrier wait = time a
+/// finished worker spent waiting for the join (the stragglers' shadow).
 void ParallelObserverFn(const util::ParallelRegionStats& stats) {
   static const std::vector<double> kWaitBounds = {
       1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0};

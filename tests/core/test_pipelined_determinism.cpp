@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -660,6 +661,57 @@ TEST(PipelinedDeterminismTest, FailingLiveLabAbortsMixedResume) {
   EXPECT_EQ(piped.labs_resumed, first.labs.size() - 1);
   ASSERT_FALSE(piped.errors.empty());
   EXPECT_EQ(piped.samples, 0u);
+}
+
+/// Ids of this process's threads (Linux), sorted; empty where /proc is not
+/// available.
+std::vector<std::string> ThreadIds() {
+  std::error_code ec;
+  std::vector<std::string> ids;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ids.push_back(it->path().filename().string());
+  }
+  if (ec) return {};
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(PipelinedDeterminismTest, WarmRunsKeepTheirThreadsAtAnyWindow) {
+  // Every stage and every window's shard pass is a task on util's worker
+  // pool. Once a spilled run and a resume have grown the pool, a run at
+  // one or 16 iterations per window, resumed or not, ends with exactly
+  // the threads it started with: no worker added, none replaced.
+  const std::string dir = ::testing::TempDir() + "/labmon_pipe_threads";
+  std::filesystem::remove_all(dir);
+  core::StreamingOptions spill_options;
+  spill_options.spill_dir = dir;
+  spill_options.block_samples = 4096;
+  const auto spilled =
+      core::PipelinedExperiment::Run(GoldenConfig(2), spill_options);
+  ExpectRunIdentical(spilled);
+  core::StreamingOptions resume_options = spill_options;
+  resume_options.resume = true;
+  CrashFirstTwoLabs(dir);
+  ExpectRunIdentical(
+      core::PipelinedExperiment::Run(GoldenConfig(2), resume_options));
+
+  const std::vector<std::string> threads = ThreadIds();
+  for (const std::size_t window : {std::size_t{1}, std::size_t{16}}) {
+    SCOPED_TRACE("window=" + std::to_string(window));
+    core::StreamingOptions options;
+    options.window_iterations = window;
+    ExpectRunIdentical(
+        core::PipelinedExperiment::Run(GoldenConfig(2), options));
+    EXPECT_EQ(ThreadIds(), threads);
+  }
+  CrashFirstTwoLabs(dir);
+  const auto resumed =
+      core::PipelinedExperiment::Run(GoldenConfig(2), resume_options);
+  EXPECT_EQ(resumed.labs_resumed, spilled.labs.size() - 2);
+  ExpectRunIdentical(resumed);
+  EXPECT_EQ(ThreadIds(), threads);
+  if (threads.empty()) GTEST_SKIP() << "no /proc/self/task";
 }
 
 }  // namespace
