@@ -30,6 +30,7 @@
 #include "labmon/trace/merge_frontier.hpp"
 #include "labmon/trace/segment.hpp"
 #include "labmon/trace/spill_codec.hpp"
+#include "labmon/util/parallel.hpp"
 #include "labmon/util/rng.hpp"
 #include "labmon/util/varint.hpp"
 #include "labmon/util/staging_ring.hpp"
@@ -751,6 +752,18 @@ void BM_StagingRingPushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StagingRingPushPop);
+
+void BM_ParallelForRegion(benchmark::State& state) {
+  // Fixed cost of one two-worker ParallelFor region with an empty body:
+  // the hand-off to the pool's parked workers and the joins, paid once per
+  // shard pass of every lockstep window of a pipelined run.
+  for (auto _ : state) {
+    util::ParallelFor(2, [](std::size_t i) { benchmark::DoNotOptimize(i); },
+                      2);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParallelForRegion);
 
 /// Per-lab part streams laid out as replay feeds the merge: one block per
 /// part, `machines_per_part` lab-contiguous machines each probed once per
