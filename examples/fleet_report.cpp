@@ -26,8 +26,10 @@
 // collection seals fixed-size trace blocks (--block-samples, default
 // 8192) instead of materialising the trace, and shard workers overlap
 // simulation with the merge and the incremental analysis fold via a
-// bounded staging ring (--ring-capacity, default 64 blocks) — peak memory
-// is O(block), independent of --days, and the analysis output is
+// bounded staging ring (--ring-capacity, default 64 blocks). Peak memory
+// is the blocks in flight plus per-machine analysis and per-lab state, so
+// it grows linearly with --scale-labs; with --days it grows only through
+// the behaviour driver's pre-scheduled events. The analysis output is
 // bit-identical to the materialised engine. The run summary adds
 // ring/merge-lag/arena-reuse stats and --prof-out wraps the profile as
 // {"prof": ..., "pipeline": ...}. --spill-dir DIR also spills sealed

@@ -258,9 +258,11 @@ class PipelineSink final : public ddc::SampleSink {
 
 /// Everything one live lab keeps alive across windows: the behaviour
 /// driver, working store, sink, probe, injector and the incrementally
-/// driven coordinator. Heap-allocated and never moved, so the
-/// FunctionRef-bound advance hook and the coordinator's references stay
-/// valid for the whole run.
+/// driven coordinator. Each sizes its state to the lab's machines, not to
+/// the fleet, so the live runs together hold O(machines) and a streamed
+/// run's memory grows linearly with the fleet. Heap-allocated and never
+/// moved, so the FunctionRef-bound advance hook and the coordinator's
+/// references stay valid for the whole run.
 class LabRun {
  public:
   LabRun(winsim::Fleet& fleet, const workload::CampusConfig& campus,

@@ -253,7 +253,7 @@ class Coordinator {
   util::Rng retry_rng_;
   W32Sample scratch_;  ///< reused structured-sample buffer
 
-  std::vector<MachineInstruments> machine_metrics_;
+  std::vector<MachineInstruments> machine_metrics_;  ///< [i - first_]
   obs::Histogram* latency_hist_[3] = {nullptr, nullptr, nullptr};
   obs::Histogram* iteration_hist_ = nullptr;
   obs::Histogram* overrun_hist_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <queue>
 
 #include "labmon/faultsim/fault_injector.hpp"
@@ -52,11 +53,11 @@ void Coordinator::AdvanceTo(util::SimTime t) {
 
 void Coordinator::BindInstruments() {
   obs::Registry& registry = *config_.metrics;
-  machine_metrics_.resize(fleet_.size());
+  machine_metrics_.resize(end_ - first_);
   for (std::size_t i = first_; i < end_; ++i) {
     const std::string& machine = fleet_.machine(i).spec().name;
     const std::string& lab = fleet_.labs()[fleet_.LabOf(i)].name;
-    MachineInstruments& m = machine_metrics_[i];
+    MachineInstruments& m = machine_metrics_[i - first_];
     m.attempts = &registry.GetCounter(
         "labmon_ddc_probe_attempts_total",
         "Remote probe executions attempted per machine",
@@ -115,7 +116,7 @@ void Coordinator::Tally(std::size_t machine_index,
     case ExecOutcome::Status::kError: ++errors_; break;
   }
   if (machine_metrics_.empty()) return;
-  const MachineInstruments& m = machine_metrics_[machine_index];
+  const MachineInstruments& m = machine_metrics_[machine_index - first_];
   m.attempts->Increment();
   switch (outcome.status) {
     case ExecOutcome::Status::kOk: m.ok->Increment(); break;
@@ -128,7 +129,9 @@ void Coordinator::Tally(std::size_t machine_index,
 ExecOutcome Coordinator::ExecuteOne(std::size_t machine_index,
                                     util::SimTime t,
                                     bool* structured_filled) {
-  obs::Span span("executor.execute", config_.tracer);
+  // One call per attempt: build the span only when a tracer may take it.
+  std::optional<obs::Span> span;
+  if (config_.tracer) span.emplace("executor.execute", config_.tracer);
   // Hot path (one call per probe attempt): sampled, not timed in full,
   // to stay inside the profiler's overhead budget.
   obs::prof::SampledPhaseScope prof_scope(obs::prof::Phase::kProbe);
@@ -147,8 +150,8 @@ ExecOutcome Coordinator::ExecuteOne(std::size_t machine_index,
   } else {
     outcome = executor_.Execute(probe_, fleet_.machine(machine_index), t);
   }
-  if (span.active()) {
-    span.SetSimRange(
+  if (span && span->active()) {
+    span->SetSimRange(
         t, t + static_cast<util::SimTime>(std::llround(outcome.latency_s)));
   }
   return outcome;

@@ -13,7 +13,9 @@
 // `Sample(i)`) is preserved as a gather layer for convenience and
 // compatibility; hot paths should read `columns()` directly.
 //
-// The per-machine sample index is maintained eagerly on Append. Reads
+// The per-machine sample index is maintained eagerly on Append and spans
+// only the machine ids appended so far, so a store that collects one lab
+// indexes that lab, not the fleet. Reads
 // (`MachineSamples`, `ResponsesPerMachine`, `columns()`) never mutate the
 // store, so a fully-collected trace is safe to share across analysis
 // threads without synchronisation. (The previous lazy `EnsureIndex`
@@ -257,13 +259,17 @@ class TraceStore {
 
  private:
   [[nodiscard]] std::uint32_t InternUser(const std::string& user);
+  /// Adds sample `index` to `machine`'s list, widening the indexed range.
+  void IndexSample(std::uint32_t machine, std::uint32_t index);
 
   std::size_t machine_count_;
   Columns columns_;
   std::vector<IterationInfo> iterations_;
   std::vector<std::string> users_;
   std::unordered_map<std::string, std::uint32_t> user_ids_;
-  std::vector<std::vector<std::uint32_t>> per_machine_;  ///< eager index
+  /// Eager index: per_machine_[m - index_first_] lists machine m's samples.
+  std::vector<std::vector<std::uint32_t>> per_machine_;
+  std::size_t index_first_ = 0;
 };
 
 }  // namespace labmon::trace

@@ -46,11 +46,7 @@ void TraceStore::Append(const SampleRecord& record) {
                                                       : 0);
   columns_.user_id.push_back(record.has_session ? InternUser(record.user)
                                                 : kNoUser);
-  if (record.machine >= per_machine_.size()) {
-    per_machine_.resize(
-        std::max<std::size_t>(record.machine + 1, machine_count_));
-  }
-  per_machine_[record.machine].push_back(index);
+  IndexSample(record.machine, index);
 }
 
 void TraceStore::AppendFrom(const Columns& src, std::size_t i,
@@ -63,10 +59,30 @@ void TraceStore::AppendFrom(const Columns& src, std::size_t i,
   ForEachColumn(
       [&](auto member) { (columns_.*member).push_back((src.*member)[i]); });
   columns_.user_id.back() = src.has_session[i] != 0 ? user_id : kNoUser;
-  if (machine >= per_machine_.size()) {
-    per_machine_.resize(std::max<std::size_t>(machine + 1, machine_count_));
+  IndexSample(machine, index);
+}
+
+void TraceStore::IndexSample(std::uint32_t machine, std::uint32_t index) {
+  // The index spans only the machines appended so far, so a one-lab
+  // working store holds a lab's lists, not the fleet's.
+  if (per_machine_.empty()) {
+    // A few labs' worth of slots up front: growing a lab store's index slot
+    // by slot measured ~15% slower on a materialised 132-lab run.
+    per_machine_.reserve(64);
+    index_first_ = machine;
+  } else if (machine < index_first_) {
+    // Widen downward by at least the range already indexed: a merged
+    // store meets its machines in no fixed order, and one shift per new
+    // lowest machine would cost O(machines) each time.
+    const std::size_t widen =
+        std::max<std::size_t>(index_first_ - machine,
+                              std::min(index_first_, per_machine_.size()));
+    per_machine_.insert(per_machine_.begin(), widen, {});
+    index_first_ -= widen;
   }
-  per_machine_[machine].push_back(index);
+  const std::size_t slot = machine - index_first_;
+  if (slot >= per_machine_.size()) per_machine_.resize(slot + 1);
+  per_machine_[slot].push_back(index);
 }
 
 void TraceStore::ClearSamples() {
@@ -74,7 +90,7 @@ void TraceStore::ClearSamples() {
   // each also appends to the machine column: clearing the lists of the
   // machines sampled costs the block, not the fleet.
   for (const std::uint32_t machine : columns_.machine) {
-    per_machine_[machine].clear();
+    per_machine_[machine - index_first_].clear();
   }
   ForEachColumn([&](auto member) { (columns_.*member).clear(); });
   iterations_.clear();
@@ -124,15 +140,18 @@ std::string_view TraceStore::UserOf(std::size_t i) const noexcept {
 
 std::span<const std::uint32_t> TraceStore::MachineSamples(
     std::size_t machine) const noexcept {
-  if (machine >= per_machine_.size()) return {};
-  return per_machine_[machine];
+  if (machine < index_first_) return {};
+  const std::size_t slot = machine - index_first_;
+  if (slot >= per_machine_.size()) return {};
+  return per_machine_[slot];
 }
 
 std::vector<std::uint32_t> TraceStore::ResponsesPerMachine() const {
   std::vector<std::uint32_t> counts(
-      std::max(machine_count_, per_machine_.size()), 0);
-  for (std::size_t m = 0; m < per_machine_.size(); ++m) {
-    counts[m] = static_cast<std::uint32_t>(per_machine_[m].size());
+      std::max(machine_count_, index_first_ + per_machine_.size()), 0);
+  for (std::size_t s = 0; s < per_machine_.size(); ++s) {
+    counts[index_first_ + s] =
+        static_cast<std::uint32_t>(per_machine_[s].size());
   }
   return counts;
 }

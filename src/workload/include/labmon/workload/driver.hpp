@@ -132,7 +132,8 @@ class WorkloadDriver {
   /// the behavioural simulation (no RNG draws, no state changes).
   void SetObserver(MachineObserver* observer) noexcept { observer_ = observer; }
 
-  /// Per-machine behavioural temperament (tests & ablations).
+  /// Per-machine behavioural temperament (tests & ablations). `machine` is
+  /// a fleet-global id inside the driver's range.
   [[nodiscard]] double StayOnTendency(std::size_t machine) const noexcept;
 
   /// Walk-in arrival rate (students/hour) for a lab at an instant — exposed
@@ -193,20 +194,30 @@ class WorkloadDriver {
   };
 
   struct LabState {
+    /// The lab's event-time stream (substream kLabEvents).
+    util::Rng rng;
+    /// Login sequence for synthetic usernames ("a<lab><seq>"), so a lab's
+    /// user names do not depend on campus-wide login interleaving.
+    std::uint64_t next_student = 1;
     bool in_class = false;
-    bool heavy = false;
-    util::SimTime class_end = 0;
-    double popularity = 0.5;         ///< [0,1], from NBench indexes
-    double arrival_weight = 1.0;     ///< share of campus walk-ins
   };
 
   void Init(std::size_t lab_begin, std::size_t lab_end);
+
+  /// State of a covered machine or lab, by fleet-global id: events and
+  /// observers speak fleet-global ids, the state is sized to the range.
+  [[nodiscard]] MachineState& Machine(std::size_t i) noexcept {
+    return machines_[i - first_machine_];
+  }
+  [[nodiscard]] LabState& Lab(std::size_t lab) noexcept {
+    return labs_[lab - lab_begin_];
+  }
 
   /// The event-time stream of the lab a machine belongs to. Every draw a
   /// handler makes for machine `i` must come from here, so a lab's draw
   /// sequence is independent of which other labs this driver covers.
   [[nodiscard]] util::Rng& EventRng(std::size_t machine) noexcept {
-    return lab_rng_[fleet_.LabOf(machine)];
+    return Lab(fleet_.LabOf(machine)).rng;
   }
 
   // -- scheduling helpers --------------------------------------------------
@@ -254,14 +265,10 @@ class WorkloadDriver {
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   util::SimTime now_ = 0;
-  /// Per-lab event-time streams, indexed by fleet-global lab id; only the
-  /// covered range is seeded (substream kLabEvents).
-  std::vector<util::Rng> lab_rng_;
-  std::vector<MachineState> machines_;   ///< fleet-global machine index
-  std::vector<LabState> labs_;           ///< fleet-global lab index
-  /// Per-lab login sequence for synthetic usernames ("a<lab><seq>"), so a
-  /// lab's user names do not depend on campus-wide login interleaving.
-  std::vector<std::uint64_t> next_student_;
+  /// Sized to the covered range, so a one-lab driver holds O(lab), not
+  /// O(fleet): machines_[i - first_machine_], labs_[lab - lab_begin_].
+  std::vector<MachineState> machines_;
+  std::vector<LabState> labs_;
   GroundTruth truth_;
   MachineObserver* observer_ = nullptr;
 };

@@ -38,15 +38,9 @@ void WorkloadDriver::Init(std::size_t lab_begin, std::size_t lab_end) {
   first_machine_ = labs[lab_begin_].first;
   machine_end_ = labs[lab_end_ - 1].first + labs[lab_end_ - 1].count;
 
-  labs_.resize(fleet_.lab_count());
-  lab_rng_.resize(fleet_.lab_count());
-  next_student_.assign(fleet_.lab_count(), 1);
-  for (std::size_t l = 0; l < fleet_.lab_count(); ++l) {
-    labs_[l].popularity = profile_->popularity[l];
-    labs_[l].arrival_weight = profile_->arrival_weight[l];
-  }
+  labs_.resize(lab_end_ - lab_begin_);
   for (std::size_t l = lab_begin_; l < lab_end_; ++l) {
-    lab_rng_[l] = util::Rng(
+    Lab(l).rng = util::Rng(
         util::DeriveSeed(config_.seed, util::seed_stream::kLabEvents, l));
   }
 
@@ -54,11 +48,11 @@ void WorkloadDriver::Init(std::size_t lab_begin, std::size_t lab_end) {
   // from the machine's own substream: the values depend only on the machine
   // identity, never on which other machines this driver covers.
   const SimTime end = config_.EndTime();
-  machines_.resize(fleet_.size());
+  machines_.resize(machine_end_ - first_machine_);
   for (std::size_t i = first_machine_; i < machine_end_; ++i) {
     util::Rng mrng(
         util::DeriveSeed(config_.seed, util::seed_stream::kMachineTraits, i));
-    auto& st = machines_[i];
+    auto& st = Machine(i);
     const PowerModel& pm = config_.power;
     st.stay_on = mrng.Bernoulli(pm.sticky_fraction)
                      ? mrng.Uniform(pm.sticky_stay_on_lo, pm.sticky_stay_on_hi)
@@ -71,9 +65,11 @@ void WorkloadDriver::Init(std::size_t lab_begin, std::size_t lab_end) {
 
     // Short power cycles (invisible to 15-min sampling). Busy labs see more
     // of them, and some machines are chronically power-cycled, which spreads
-    // the per-machine SMART cycle counts (the paper's sigma = 37).
-    const double lab_weight = labs_[fleet_.LabOf(i)].arrival_weight *
-                              static_cast<double>(labs_.size());
+    // the per-machine SMART cycle counts (the paper's sigma = 37). The
+    // weight scales by the campus's lab count, not the covered range's, so
+    // a lab's draws do not depend on its shard.
+    const double lab_weight = profile_->arrival_weight[fleet_.LabOf(i)] *
+                              static_cast<double>(fleet_.lab_count());
     const double short_rate = config_.power.short_cycles_per_day * lab_weight *
                               mrng.LogNormalMeanStd(1.0, 0.9);
     for (int day = 0; day < config_.days; ++day) {
@@ -159,7 +155,7 @@ void WorkloadDriver::FinishAt(SimTime t) {
 }
 
 double WorkloadDriver::StayOnTendency(std::size_t machine) const noexcept {
-  return machines_[machine].stay_on;
+  return machines_[machine - first_machine_].stay_on;
 }
 
 bool WorkloadDriver::IsOpen(SimTime t) const noexcept {
@@ -204,7 +200,7 @@ double WorkloadDriver::ArrivalRate(std::size_t lab, SimTime t) const noexcept {
   }
   if (c.dow == DayOfWeek::kSaturday) factor *= m.saturday_factor;
   return m.weekday_peak_per_hour * profile_->arrival_peak_scale * factor *
-         labs_[lab].arrival_weight;
+         profile_->arrival_weight[lab];
 }
 
 // ---------------------------------------------------------------------------
@@ -231,10 +227,8 @@ void WorkloadDriver::Dispatch(const Event& e) {
 
 void WorkloadDriver::OnClassStart(const Event& e) {
   const std::size_t lab = e.index;
-  util::Rng& rng = lab_rng_[lab];
-  labs_[lab].in_class = true;
-  labs_[lab].heavy = e.flag;
-  labs_[lab].class_end = e.aux;
+  util::Rng& rng = Lab(lab).rng;
+  Lab(lab).in_class = true;
   const auto& info = fleet_.labs()[lab];
   for (std::size_t i = info.first; i < info.first + info.count; ++i) {
     auto& m = fleet_.machine(i);
@@ -244,7 +238,7 @@ void WorkloadDriver::OnClassStart(const Event& e) {
     // occasionally a free machine is rebooted (an extra SMART power cycle).
     bool seat_taken = false;
     if (m.powered_on() && m.Session().has_value()) {
-      auto& st = machines_[i];
+      auto& st = Machine(i);
       if (st.sess != SessKind::kForgotten &&
           rng.Bernoulli(config_.timetable.keep_walkin_in_class)) {
         seat_taken = true;
@@ -266,15 +260,14 @@ void WorkloadDriver::OnClassStart(const Event& e) {
       const SimTime planned_end =
           e.aux + static_cast<SimTime>(rng.Normal(-5.0 * 60.0, 5.0 * 60.0));
       Push(sit, EventKind::kSeatStart, static_cast<std::uint32_t>(i),
-           machines_[i].session_gen, std::max(sit + 10 * 60, planned_end),
+           Machine(i).session_gen, std::max(sit + 10 * 60, planned_end),
            e.flag);
     }
   }
 }
 
 void WorkloadDriver::OnClassEnd(const Event& e) {
-  labs_[e.index].in_class = false;
-  labs_[e.index].heavy = false;
+  Lab(e.index).in_class = false;
 }
 
 void WorkloadDriver::OnSeatStart(const Event& e) {
@@ -289,7 +282,7 @@ void WorkloadDriver::OnSeatStart(const Event& e) {
 void WorkloadDriver::OnHourPlan(const Event& e) {
   const double rate = ArrivalRate(e.index, e.t);
   if (rate <= 0.0) return;
-  util::Rng& rng = lab_rng_[e.index];
+  util::Rng& rng = Lab(e.index).rng;
   const int n = rng.Poisson(rate);
   for (int k = 0; k < n; ++k) {
     Push(e.t + rng.UniformInt(0, util::kSecondsPerHour - 1),
@@ -300,11 +293,11 @@ void WorkloadDriver::OnHourPlan(const Event& e) {
 void WorkloadDriver::OnArrival(const Event& e) {
   const std::size_t lab = e.index;
   if (!IsOpen(e.t)) return;
-  if (labs_[lab].in_class) {
+  if (Lab(lab).in_class) {
     ++truth_.lost_arrivals;
     return;
   }
-  util::Rng& rng = lab_rng_[lab];
+  util::Rng& rng = Lab(lab).rng;
   const auto& info = fleet_.labs()[lab];
   // Prefer a free powered-on machine; otherwise power one on; as a last
   // resort, take over a machine abandoned with a forgotten session.
@@ -317,7 +310,7 @@ void WorkloadDriver::OnArrival(const Event& e) {
       off.push_back(i);
     } else if (!m.Session().has_value()) {
       on_free.push_back(i);
-    } else if (machines_[i].sess == SessKind::kForgotten) {
+    } else if (Machine(i).sess == SessKind::kForgotten) {
       ghosts.push_back(i);
     }
   }
@@ -339,7 +332,7 @@ void WorkloadDriver::OnArrival(const Event& e) {
     BootMachine(i, e.t);
     Push(e.t + static_cast<SimTime>(kBootDelaySeconds),
          EventKind::kDeferredLogin, static_cast<std::uint32_t>(i),
-         machines_[i].power_gen, e.t + length, false);
+         Machine(i).power_gen, e.t + length, false);
   } else if (!on_free.empty()) {
     const std::size_t i = on_free[static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(on_free.size()) - 1))];
@@ -352,7 +345,7 @@ void WorkloadDriver::OnArrival(const Event& e) {
     BootMachine(i, e.t);
     Push(e.t + static_cast<SimTime>(kBootDelaySeconds),
          EventKind::kDeferredLogin, static_cast<std::uint32_t>(i),
-         machines_[i].power_gen, e.t + length, false);
+         Machine(i).power_gen, e.t + length, false);
   } else if (!ghosts.empty()) {
     const std::size_t i = ghosts[static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(ghosts.size()) - 1))];
@@ -367,7 +360,7 @@ void WorkloadDriver::OnArrival(const Event& e) {
 void WorkloadDriver::OnDeferredLogin(const Event& e) {
   const std::size_t i = e.index;
   auto& m = fleet_.machine(i);
-  if (!m.powered_on() || machines_[i].power_gen != e.gen) return;
+  if (!m.powered_on() || Machine(i).power_gen != e.gen) return;
   m.AdvanceTo(e.t);
   if (m.Session().has_value()) return;
   LoginMachine(i, e.t, SessKind::kWalkin, e.aux, false);
@@ -375,7 +368,7 @@ void WorkloadDriver::OnDeferredLogin(const Event& e) {
 
 void WorkloadDriver::OnSessionEnd(const Event& e) {
   const std::size_t i = e.index;
-  auto& st = machines_[i];
+  auto& st = Machine(i);
   if (st.session_gen != e.gen) return;  // stale
   auto& m = fleet_.machine(i);
   if (!m.powered_on() || !m.Session().has_value()) return;
@@ -404,7 +397,7 @@ void WorkloadDriver::OnSessionEnd(const Event& e) {
   // user's inclination to power it off.
   const double off_prob =
       (evening ? config_.power.off_after_evening : OffProb(kind)) *
-      (1.0 - machines_[i].stay_on);
+      (1.0 - Machine(i).stay_on);
   if (rng.Bernoulli(off_prob)) {
     ShutdownMachine(i, e.t);
   }
@@ -412,7 +405,7 @@ void WorkloadDriver::OnSessionEnd(const Event& e) {
 
 void WorkloadDriver::OnActivityPhase(const Event& e) {
   const std::size_t i = e.index;
-  auto& st = machines_[i];
+  auto& st = Machine(i);
   if (st.session_gen != e.gen) return;  // stale
   auto& m = fleet_.machine(i);
   if (!m.powered_on() || !m.Session().has_value()) return;
@@ -451,7 +444,7 @@ void WorkloadDriver::OnActivityPhase(const Event& e) {
 
 void WorkloadDriver::OnAbandonSettle(const Event& e) {
   const std::size_t i = e.index;
-  auto& st = machines_[i];
+  auto& st = Machine(i);
   if (st.session_gen != e.gen) return;
   if (st.sess != SessKind::kForgotten) return;
   auto& m = fleet_.machine(i);
@@ -464,7 +457,7 @@ void WorkloadDriver::OnAbandonSettle(const Event& e) {
 
 void WorkloadDriver::OnBootSettle(const Event& e) {
   const std::size_t i = e.index;
-  if (machines_[i].power_gen != e.gen) return;
+  if (Machine(i).power_gen != e.gen) return;
   auto& m = fleet_.machine(i);
   if (!m.powered_on()) return;
   m.AdvanceTo(e.t);
@@ -473,7 +466,7 @@ void WorkloadDriver::OnBootSettle(const Event& e) {
 
 void WorkloadDriver::OnSweep(const Event& e) {
   const std::size_t lab = e.index;
-  util::Rng& rng = lab_rng_[lab];
+  util::Rng& rng = Lab(lab).rng;
   const PowerModel& pm = config_.power;
   const double floor = e.flag ? pm.weekend_kill_floor : pm.sweep_kill_floor;
   const double scale = e.flag ? pm.weekend_kill_scale : pm.sweep_kill_scale;
@@ -482,7 +475,7 @@ void WorkloadDriver::OnSweep(const Event& e) {
     auto& m = fleet_.machine(i);
     if (!m.powered_on()) continue;
     m.AdvanceTo(e.t);
-    auto& st = machines_[i];
+    auto& st = Machine(i);
     // Anyone still working at closing time is shooed out: the session
     // either ends properly or is left open (and becomes a forgotten one
     // that survives as long as the machine does). Staff powers machines
@@ -514,20 +507,20 @@ void WorkloadDriver::OnShortCycleStart(const Event& e) {
   if (m.powered_on()) return;
   if (!IsOpen(e.t)) return;
   const std::size_t lab = fleet_.LabOf(i);
-  if (labs_[lab].in_class) return;
+  if (Lab(lab).in_class) return;
   m.AdvanceTo(e.t);
   BootMachine(i, e.t);
   ++truth_.short_cycles;
-  util::Rng& rng = lab_rng_[lab];
+  util::Rng& rng = Lab(lab).rng;
   const double minutes = rng.Uniform(config_.power.short_cycle_minutes_lo,
                                      config_.power.short_cycle_minutes_hi);
   Push(e.t + static_cast<SimTime>(minutes * 60.0), EventKind::kShortCycleEnd,
-       static_cast<std::uint32_t>(i), machines_[i].power_gen);
+       static_cast<std::uint32_t>(i), Machine(i).power_gen);
 }
 
 void WorkloadDriver::OnShortCycleEnd(const Event& e) {
   const std::size_t i = e.index;
-  if (machines_[i].power_gen != e.gen) return;
+  if (Machine(i).power_gen != e.gen) return;
   auto& m = fleet_.machine(i);
   if (!m.powered_on() || m.Session().has_value()) return;
   m.AdvanceTo(e.t);
@@ -540,7 +533,7 @@ void WorkloadDriver::OnShortCycleEnd(const Event& e) {
 
 void WorkloadDriver::BootMachine(std::size_t i, SimTime t) {
   auto& m = fleet_.machine(i);
-  auto& st = machines_[i];
+  auto& st = Machine(i);
   util::Rng& rng = EventRng(i);
   m.Boot(t);
   ++st.power_gen;
@@ -584,7 +577,7 @@ void WorkloadDriver::BootMachine(std::size_t i, SimTime t) {
 
 void WorkloadDriver::ShutdownMachine(std::size_t i, SimTime t) {
   auto& m = fleet_.machine(i);
-  auto& st = machines_[i];
+  auto& st = Machine(i);
   m.Shutdown(t);
   ++st.power_gen;
   ++st.session_gen;
@@ -598,17 +591,17 @@ void WorkloadDriver::ShutdownMachine(std::size_t i, SimTime t) {
 void WorkloadDriver::LoginMachine(std::size_t i, SimTime t, SessKind kind,
                                   SimTime planned_end, bool heavy) {
   auto& m = fleet_.machine(i);
-  auto& st = machines_[i];
+  auto& st = Machine(i);
   if (m.Session().has_value()) return;
 
   // Lab-scoped account names: the per-lab sequence keeps a lab's user ids
   // independent of campus-wide login interleaving (shard invariance).
   const std::size_t lab = fleet_.LabOf(i);
-  util::Rng& rng = lab_rng_[lab];
+  util::Rng& rng = Lab(lab).rng;
   char user[32];
   std::snprintf(user, sizeof user, "a%03llu%05llu",
                 static_cast<unsigned long long>(lab),
-                static_cast<unsigned long long>(next_student_[lab]++));
+                static_cast<unsigned long long>(Lab(lab).next_student++));
   m.Login(user, t);
   ++st.session_gen;
   st.sess = kind;
@@ -645,7 +638,7 @@ void WorkloadDriver::LoginMachine(std::size_t i, SimTime t, SessKind kind,
 
 void WorkloadDriver::ForceLogout(std::size_t i, SimTime t) {
   auto& m = fleet_.machine(i);
-  auto& st = machines_[i];
+  auto& st = Machine(i);
   if (!m.powered_on()) return;
   m.AdvanceTo(t);
   if (!m.Session().has_value()) return;
@@ -668,7 +661,7 @@ void WorkloadDriver::ApplyIdleRates(std::size_t i) {
   auto& m = fleet_.machine(i);
   util::Rng& rng = EventRng(i);
   const NetworkModel& nm = config_.network;
-  if (machines_[i].compute_server) {
+  if (Machine(i).compute_server) {
     // A compute box crunches whenever it is powered on ("some of the
     // machines presented a continuous 100% CPU usage", §5 / Bolosky).
     m.SetCpuBusyFraction(rng.Uniform(config_.activity.compute_server_busy_lo,

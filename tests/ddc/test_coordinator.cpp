@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "labmon/ddc/w32_probe.hpp"
+#include "labmon/obs/prof.hpp"
 #include "labmon/winsim/fleet.hpp"
+#include "labmon/winsim/paper_specs.hpp"
 
 namespace labmon::ddc {
 namespace {
@@ -240,6 +242,33 @@ TEST(CoordinatorTest, MetricsRegistryCollectsPerMachineCounters) {
   EXPECT_EQ(timeouts, stats.timeouts);
   EXPECT_EQ(iteration_observations, stats.iterations);
   EXPECT_TRUE(saw_lab_label);
+}
+
+/// Bytes an instrumented coordinator over the campus's first or last lab
+/// allocates at `scale_labs` replicas of the paper's 11 labs.
+std::uint64_t OneLabCoordinatorBytes(int scale_labs, bool last_lab) {
+  util::Rng rng(1);
+  winsim::Fleet fleet = winsim::MakePaperFleet(rng, {}, scale_labs);
+  const winsim::LabInfo& lab =
+      last_lab ? fleet.labs().back() : fleet.labs().front();
+  RecordingSink sink;
+  W32Probe probe;
+  obs::Registry registry;
+  CoordinatorConfig config;
+  config.first_machine = lab.first;
+  config.machine_count = lab.count;
+  config.metrics = &registry;
+  const obs::prof::AllocCounters before = obs::prof::ThreadAllocCounters();
+  const Coordinator coordinator(fleet, probe, config, sink);
+  return obs::prof::ThreadAllocCounters().bytes - before.bytes;
+}
+
+TEST(CoordinatorTest, OneLabInstrumentsDoNotGrowWithTheFleet) {
+  for (const bool last_lab : {false, true}) {
+    EXPECT_EQ(OneLabCoordinatorBytes(1, last_lab),
+              OneLabCoordinatorBytes(8, last_lab))
+        << (last_lab ? "last lab" : "first lab");
+  }
 }
 
 TEST(CoordinatorTest, TracerRecordsIterationAndExecutorSpans) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <string>
+#include <vector>
 
 #include "labmon/obs/prof.hpp"
 #include "labmon/util/parallel.hpp"
@@ -251,6 +252,45 @@ TEST(TraceStoreTest, InterningAKnownUserAllocatesNothing) {
   EXPECT_EQ(after.bytes, before.bytes);
   ASSERT_EQ(store.users().size(), 1u);
   EXPECT_EQ(store.users()[0], user);
+}
+
+/// Bytes a working store allocates for one 4-iteration window of the last
+/// lab's 16 machines in a campus of `fleet_machines`.
+std::uint64_t LastLabWindowBytes(std::uint32_t fleet_machines) {
+  constexpr std::uint32_t kLabMachines = 16;
+  TraceStore store(fleet_machines);
+  const obs::prof::AllocCounters before = obs::prof::ThreadAllocCounters();
+  for (std::uint32_t it = 0; it < 4; ++it) {
+    for (std::uint32_t m = fleet_machines - kLabMachines; m < fleet_machines;
+         ++m) {
+      store.Append(MakeTestRecord(m, it, 900 * it + m, /*session=*/true));
+    }
+  }
+  return obs::prof::ThreadAllocCounters().bytes - before.bytes;
+}
+
+TEST(TraceStoreTest, WorkingStoreIndexDoesNotGrowWithTheFleet) {
+  // The paper campus (169 machines) and its 8-lab-replica scale-out.
+  EXPECT_EQ(LastLabWindowBytes(169), LastLabWindowBytes(8 * 169));
+}
+
+TEST(TraceStoreTest, IndexCoversMachinesAppendedBelowTheFirst) {
+  TraceStore store(8);
+  store.Append(MakeTestRecord(5, 0, 100));
+  store.Append(MakeTestRecord(2, 0, 110));
+  store.Append(MakeTestRecord(5, 1, 1000));
+  ASSERT_EQ(store.MachineSamples(5).size(), 2u);
+  EXPECT_EQ(store.MachineSamples(5)[1], 2u);
+  ASSERT_EQ(store.MachineSamples(2).size(), 1u);
+  EXPECT_EQ(store.MachineSamples(2)[0], 1u);
+  EXPECT_TRUE(store.MachineSamples(0).empty());
+  EXPECT_TRUE(store.MachineSamples(7).empty());
+  EXPECT_TRUE(store.MachineSamples(100).empty());
+  EXPECT_EQ(store.ResponsesPerMachine(),
+            (std::vector<std::uint32_t>{0, 0, 1, 0, 0, 2, 0, 0}));
+  store.ClearSamples();
+  EXPECT_TRUE(store.MachineSamples(5).empty());
+  EXPECT_EQ(store.ResponsesPerMachine(), std::vector<std::uint32_t>(8, 0));
 }
 
 TEST(TraceStoreTest, RowViewGathersColumns) {

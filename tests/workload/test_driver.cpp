@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "labmon/obs/prof.hpp"
 #include "labmon/winsim/paper_specs.hpp"
 
 namespace labmon::workload {
@@ -244,6 +245,29 @@ TEST_P(OpennessSweep, ArrivalRateZeroIffClosed) {
 
 INSTANTIATE_TEST_SUITE_P(WeekHours, OpennessSweep,
                          ::testing::Range(0, 7 * 24));
+
+/// Bytes a one-lab shard driver allocates when built over the campus's
+/// first or last lab at `scale_labs` replicas of the paper's 11 labs. A
+/// zero-day horizon schedules no event, so this counts the state the driver
+/// keeps for its lab, not the horizon's pre-scheduled events.
+std::uint64_t OneLabDriverBytes(int scale_labs, bool last_lab) {
+  CampusConfig config;
+  config.days = 0;
+  util::Rng rng(11);
+  winsim::Fleet fleet = winsim::MakePaperFleet(rng, {}, scale_labs);
+  const CampusProfile profile = CampusProfile::Build(fleet, config);
+  const std::size_t lab = last_lab ? fleet.lab_count() - 1 : 0;
+  const obs::prof::AllocCounters before = obs::prof::ThreadAllocCounters();
+  const WorkloadDriver driver(fleet, config, profile, lab, lab + 1);
+  return obs::prof::ThreadAllocCounters().bytes - before.bytes;
+}
+
+TEST(DriverShardTest, OneLabStateDoesNotGrowWithTheFleet) {
+  for (const bool last_lab : {false, true}) {
+    EXPECT_EQ(OneLabDriverBytes(1, last_lab), OneLabDriverBytes(8, last_lab))
+        << (last_lab ? "last lab" : "first lab");
+  }
+}
 
 std::uint64_t CountOn(DriverFixture& f) {
   std::uint64_t on = 0;
